@@ -28,7 +28,6 @@ from .factor import (
     PrimePower,
     SearchBudget,
     factorize,
-    known_factors,
 )
 from .goodness import (
     ClosureState,
@@ -93,7 +92,6 @@ __all__ = [
     "is_goal_prime",
     "is_good",
     "is_prime",
-    "known_factors",
     "log_enclosure",
     "multiplicative_order",
     "omega_upper_bound",

@@ -7,13 +7,11 @@ inconclusive result.
 
 Global flags may also be set through environment variables prefixed
 GOODPRIMES_ (GOODPRIMES_CACHE, GOODPRIMES_DEPTH, GOODPRIMES_TRIAL_BOUND,
-GOODPRIMES_RHO_CAP, GOODPRIMES_MAX_BITS, GOODPRIMES_FORMAT,
-GOODPRIMES_JOBS, GOODPRIMES_SEED_SCHEDULE); a flag on the command line
-wins over its environment variable.
+GOODPRIMES_RHO_CAP, GOODPRIMES_MAX_BITS, GOODPRIMES_FORMAT); a flag on
+the command line wins over its environment variable.
 
 In --format json every result is one canonical JSON record per line, so
-long scans stream and identical inputs produce byte-identical output
-regardless of --jobs.
+long scans stream and identical inputs produce byte-identical output.
 """
 
 import argparse
@@ -72,13 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default=_env("FORMAT", "text"),
         help="output format (default text)",
-    )
-    parser.add_argument("--jobs", type=int, default=_env("JOBS", 1), help="concurrent workers")
-    parser.add_argument(
-        "--seed-schedule",
-        type=int,
-        default=_env("SEED_SCHEDULE", 0),
-        help="alternate rho constant schedule id (testing only)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -141,7 +132,7 @@ def _cmd_good(args, budget, cache) -> int:
     problem = _check_root(args.prime)
     if problem:
         return _usage_error(problem)
-    result = is_good(args.prime, budget, cache, jobs=args.jobs)
+    result = is_good(args.prime, budget, cache)
     if args.format == "json":
         record = {
             "prime": dec(args.prime),
@@ -159,7 +150,7 @@ def _cmd_cert(args, budget, cache) -> int:
     problem = _check_root(args.prime)
     if problem:
         return _usage_error(problem)
-    result = is_good(args.prime, budget, cache, jobs=args.jobs)
+    result = is_good(args.prime, budget, cache)
     if result.verdict != GOOD:
         print(f"no certificate: {args.prime} is {result.verdict}", file=sys.stderr)
         return _VERDICT_EXIT[result.verdict]
@@ -193,7 +184,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args, budget, cache) -> int:
     if args.limit < 11:
         return _usage_error(f"sweep limit must be at least 11, got {args.limit}")
-    report = goodness_sweep(args.limit, budget, cache, jobs=args.jobs)
+    report = goodness_sweep(args.limit, budget, cache)
     if args.format == "json":
         sys.stdout.write(report.to_json_lines())
     else:
@@ -221,9 +212,9 @@ def _cmd_scan(args, budget, cache) -> int:
         elif args.form == FORM_105:
             report = scan_105(args.bound)
         elif args.form == FORM_SQUAREFREE:
-            report = scan_squarefree_form(args.bound, jobs=args.jobs)
+            report = scan_squarefree_form(args.bound)
         else:
-            report = scan_cyclotomic_form(args.bound, budget, cache, jobs=args.jobs)
+            report = scan_cyclotomic_form(args.bound, budget, cache)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -272,7 +263,7 @@ def _cmd_oracle(args, budget) -> int:
 def _cmd_factor(args, budget, cache) -> int:
     if args.n < 2:
         return _usage_error(f"factor needs n >= 2, got {args.n}")
-    result = factorize(args.n, budget, cache, seed_schedule=args.seed_schedule)
+    result = factorize(args.n, budget, cache)
     # primality beyond the deterministic witness range is high-confidence
     # (strong base-2 + strong Lucas), and says so
     confidence = "proven"
@@ -300,11 +291,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        # environment-supplied defaults arrive as strings; normalize them
-        args.jobs = int(args.jobs)
-        args.seed_schedule = int(args.seed_schedule)
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         if args.format not in ("text", "json"):
             raise ValueError(f"--format must be text or json, got {args.format!r}")
         budget = _budget_from(args)

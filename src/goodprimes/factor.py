@@ -2,9 +2,8 @@
 
 The algorithm stack is trial division up to a configurable bound followed
 by Brent's variant of the Pollard rho method on whatever composite is
-left.  Rho uses a fixed constant schedule (c = 1, 2, 3, ... for the
-default seed schedule), so results are fully deterministic for a given
-(n, budget, schedule) triple.
+left.  Rho uses the fixed constant schedule c = 1, 2, 3, ..., so results
+are fully deterministic for a given (n, budget) pair.
 
 Partial results are first-class: when a budget runs out the unfinished
 composite part is reported as a cofactor and the status says why the
@@ -197,20 +196,17 @@ def _brent(n: int, c: int, max_iters: int) -> tuple[int | None, int]:
     return g, used
 
 
-def _rho_split(n: int, cap: int, seed_schedule: int) -> int | None:
+def _rho_split(n: int, cap: int) -> int | None:
     """Find a nontrivial divisor of composite n within the iteration cap.
 
-    The polynomial constant walks the documented schedule
-    c = 1009*s + 1, 1009*s + 2, ... for schedule id s (so the default
-    schedule 0 uses c = 1, 2, 3, ...).
+    The polynomial constant walks c = 1, 2, 3, ... until the cap is spent.
     """
     if n % 2 == 0:
         return 2
     used = 0
-    attempt = 0
+    c = 0
     while used < cap:
-        attempt += 1
-        c = 1009 * seed_schedule + attempt
+        c += 1
         divisor, spent = _brent(n, c, cap - used)
         used += spent
         if divisor is not None:
@@ -218,7 +214,7 @@ def _rho_split(n: int, cap: int, seed_schedule: int) -> int | None:
     return None
 
 
-_memo: dict[tuple[int, SearchBudget, int], Factorization] = {}
+_memo: dict[tuple[int, SearchBudget], Factorization] = {}
 _MEMO_MIN_BITS = 40  # small inputs refactor instantly; caching them just burns memory
 _MEMO_MAX_ENTRIES = 1 << 18
 
@@ -231,11 +227,10 @@ def factorize(
     n: int,
     budget: SearchBudget = DEFAULT_BUDGET,
     cache: "FactorCache | None" = None,
-    seed_schedule: int = 0,
 ) -> Factorization:
     """Factor n within the given budget; never fails, may return partial.
 
-    Deterministic for fixed (n, budget, seed_schedule).  Completeness is
+    Deterministic for fixed (n, budget).  Completeness is
     guaranteed whenever the second-largest prime factor of n is at most
     the trial division bound, and holds in practice far beyond that
     (rho splits anything whose second-largest prime factor is roughly
@@ -248,7 +243,7 @@ def factorize(
     """
     if n < 2:
         raise ValueError(f"factorize needs n >= 2, got {n}")
-    key = (n, budget, seed_schedule)
+    key = (n, budget)
     hit = _memo.get(key)
     if hit is not None:
         if cache is not None:
@@ -283,7 +278,7 @@ def factorize(
                 skipped_bits = True
                 leftovers.append(m)
                 continue
-            divisor = _rho_split(m, budget.rho_iteration_cap, seed_schedule)
+            divisor = _rho_split(m, budget.rho_iteration_cap)
             if divisor is None:
                 exhausted = True
                 leftovers.append(m)
@@ -310,20 +305,6 @@ def factorize(
     if cache is not None:
         cache.put(result)
     return result
-
-
-def known_factors(
-    n: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    cache: "FactorCache | None" = None,
-    seed_schedule: int = 0,
-) -> frozenset[int]:
-    """The certified prime divisors of n discovered within the budget.
-
-    Always a subset of the true prime divisor set, and equal to it when
-    the factorization completes.
-    """
-    return factorize(n, budget, cache, seed_schedule).prime_divisors
 
 
 class FactorCache:

@@ -27,7 +27,6 @@ defined for primes > 7 only).
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -79,7 +78,6 @@ class Origin(NamedTuple):
     """How a member entered the closure: step edge plus discovery depth."""
 
     parent: int | None
-    phi3: int | None
     depth: int
 
 
@@ -115,7 +113,7 @@ def initial_state(p: int) -> ClosureState:
         root=p,
         depth=0,
         members=frozenset({p}),
-        origins={p: Origin(None, None, 0)},
+        origins={p: Origin(None, 0)},
         saturated=False,
     )
 
@@ -124,22 +122,15 @@ def expand(
     state: ClosureState,
     budget: SearchBudget = DEFAULT_BUDGET,
     cache: FactorCache | None = None,
-    jobs: int = 1,
 ) -> ClosureState:
     """One breadth-first layer: add the step image of every member.
 
-    Step calls may run concurrently (jobs > 1); results are collected
-    and then canonicalized, so the outcome is identical to sequential
-    execution.  New members record the parent lying on the
-    lexicographically smallest shortest path.  `saturated` is set when
-    nothing new appeared and every factorization finished.
+    New members record the parent lying on the lexicographically
+    smallest shortest path.  `saturated` is set when nothing new
+    appeared and every factorization finished.
     """
     eligible = [x for x in state.ordered_members if x > 7]
-    if jobs > 1 and len(eligible) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            images = dict(zip(eligible, pool.map(lambda x: cyclotomic_children(x, budget, cache), eligible)))
-    else:
-        images = {x: cyclotomic_children(x, budget, cache) for x in eligible}
+    images = {x: cyclotomic_children(x, budget, cache) for x in eligible}
 
     all_complete = all(complete for _, complete in images.values())
     ranks = {x: state.path_to(x) for x in eligible}
@@ -161,7 +152,7 @@ def expand(
     origins = dict(state.origins)
     depth = state.depth + 1
     for child, (_, parent) in discovered.items():
-        origins[child] = Origin(parent, arith.cyclotomic_value(3, parent), depth)
+        origins[child] = Origin(parent, depth)
     return ClosureState(
         root=state.root,
         depth=depth,
@@ -296,7 +287,6 @@ def is_good(
     p: int,
     budget: SearchBudget = DEFAULT_BUDGET,
     cache: FactorCache | None = None,
-    jobs: int = 1,
 ) -> GoodnessResult:
     """Decide goodness of the prime p > 7 within the budget.
 
@@ -311,7 +301,7 @@ def is_good(
         return GoodnessResult(GOOD, certificate_for(state, p), state)
     while state.depth < budget.max_depth:
         previous = state.members
-        state = expand(state, budget, cache, jobs)
+        state = expand(state, budget, cache)
         goals = [m for m in state.members - previous if m % GOAL_MODULUS in GOAL_RESIDUES]
         if goals:
             winner = min(goals, key=state.path_to)
@@ -364,25 +354,16 @@ def goodness_sweep(
     limit: int,
     budget: SearchBudget = DEFAULT_BUDGET,
     cache: FactorCache | None = None,
-    jobs: int = 1,
 ) -> SweepReport:
-    """Goodness verdict for every prime p with 7 < p < limit.
+    """Goodness verdict for every prime p with 7 < p < limit, in prime order.
 
-    Inconclusive verdicts are reported, never hidden.  With jobs > 1 the
-    per-prime searches run concurrently; entries are emitted in prime
-    order either way.
+    Inconclusive verdicts are reported, never hidden.
     """
     if limit < 11:
         raise ValueError(f"sweep limit must be at least 11, got {limit}")
-    primes = [p for p in arith.primes_up_to(limit - 1) if p > 7]
-
-    def entry(p: int) -> SweepEntry:
-        result = is_good(p, budget, cache)
-        return SweepEntry(p, result.verdict, result.depth, result.certificate)
-
-    if jobs > 1 and len(primes) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = tuple(pool.map(entry, primes))
-    else:
-        entries = tuple(entry(p) for p in primes)
-    return SweepReport(limit=limit, entries=entries)
+    entries = []
+    for p in arith.primes_up_to(limit - 1):
+        if p > 7:
+            result = is_good(p, budget, cache)
+            entries.append(SweepEntry(p, result.verdict, result.depth, result.certificate))
+    return SweepReport(limit=limit, entries=tuple(entries))

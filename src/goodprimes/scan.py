@@ -25,7 +25,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,11 +45,6 @@ FORM_105 = "105"
 
 class ResourceLimitError(RuntimeError):
     """A scan bound exceeds the documented memory/effort limits."""
-
-
-# goodness verdicts are pure functions of (prime, budget); remembering them
-# across scans only saves time, never changes a report
-_goodness_verdicts: dict[tuple[int, SearchBudget], str] = {}
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ class ScanReport:
 
     def to_dict(self) -> dict:
         # elapsed is intentionally not serialized: reports must be
-        # byte-identical across reruns and job counts
+        # byte-identical across reruns
         return {
             "form": self.form,
             "bound": dec(self.bound),
@@ -257,14 +251,12 @@ def scan_squarefree_form(
     bound: int,
     alpha_max: int | None = None,
     beta_max: int | None = None,
-    jobs: int = 1,
 ) -> ScanReport:
     """Enumerate 5^alpha * M^(2*beta) <= bound and confirm none is perfect.
 
     M ranges over odd squarefree numbers > 1 coprime to 5, alpha over
     1, 5, 9, ...; perfection is tested with the exact multiplicative
-    sigma on the constructed factorization.  Partitioned by alpha when
-    jobs > 1; the merged report equals the sequential one.
+    sigma on the constructed factorization.
     """
     _check_form_bound(bound)
     start = time.perf_counter()
@@ -273,11 +265,7 @@ def scan_squarefree_form(
     while 5**alpha * 9 <= bound and (alpha_max is None or alpha <= alpha_max):
         alphas.append(alpha)
         alpha += 4
-    if jobs > 1 and len(alphas) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda a: _squarefree_alpha_scan(a, bound, beta_max), alphas))
-    else:
-        parts = [_squarefree_alpha_scan(a, bound, beta_max) for a in alphas]
+    parts = [_squarefree_alpha_scan(a, bound, beta_max) for a in alphas]
     checked = sum(part[0] for part in parts)
     bad = sorted((rec for part in parts for rec in part[1]), key=lambda rec: rec.value)
     return ScanReport(
@@ -333,7 +321,6 @@ def scan_cyclotomic_form(
     alpha_max: int | None = None,
     b_max: int | None = None,
     annotate_goodness: bool = True,
-    jobs: int = 1,
 ) -> ScanReport:
     """Enumerate 5^a * 3^(2b) * prod qi^(6ki+2) <= bound; none may be perfect.
 
@@ -346,17 +333,12 @@ def scan_cyclotomic_form(
     _check_form_bound(bound)
     start = time.perf_counter()
     qpool = [p for p in arith.primes_up_to(math.isqrt(bound // 45)) if p > 5]
-    verdict_memo = _goodness_verdicts
     alphas = []
     alpha = 1
     while 5**alpha * 9 * 49 <= bound and (alpha_max is None or alpha <= alpha_max):
         alphas.append(alpha)
         alpha += 1
-    if jobs > 1 and len(alphas) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as tpool:
-            parts = list(tpool.map(lambda a: _cyclo_alpha_scan(a, bound, b_max, qpool), alphas))
-    else:
-        parts = [_cyclo_alpha_scan(a, bound, b_max, qpool) for a in alphas]
+    parts = [_cyclo_alpha_scan(a, bound, b_max, qpool) for a in alphas]
 
     checked = sum(part[0] for part in parts)
     bad = sorted((rec for part in parts for rec in part[1]), key=lambda rec: rec.value)
@@ -365,22 +347,10 @@ def scan_cyclotomic_form(
     notes: list[tuple[str, str]] = []
     if annotate_goodness:
         distinct = sorted({q for qs in prime_sets for q in qs})
-        # verdicts are pure in (q, budget); the process-wide memo is only
-        # safe without a cache, which can upgrade completeness mid-run
-        local: dict[tuple[int, SearchBudget], str] = {} if cache is not None else verdict_memo
-
-        def verdict_of(q: int) -> str:
-            key = (q, budget)
-            if key not in local:
-                local[key] = "undefined" if q <= 7 else is_good(q, budget, cache).verdict
-            return local[key]
-
-        if jobs > 1 and len(distinct) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as tpool:
-                list(tpool.map(verdict_of, distinct))
-        with_good = sum(1 for qs in prime_sets if any(verdict_of(q) == GOOD for q in qs))
+        verdicts = {q: "undefined" if q <= 7 else is_good(q, budget, cache).verdict for q in distinct}
+        with_good = sum(1 for qs in prime_sets if any(verdicts[q] == GOOD for q in qs))
         with_small = sum(1 for qs in prime_sets if any(q <= 157 for q in qs))
-        inconclusive = sum(1 for q in distinct if verdict_of(q) == INCONCLUSIVE)
+        inconclusive = sum(1 for q in distinct if verdicts[q] == INCONCLUSIVE)
         notes = [
             ("candidates_with_good_prime", dec(with_good)),
             ("candidates_with_prime_at_most_157", dec(with_small)),

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from goodprimes.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from goodprimes.scan import scan_cyclotomic_form
 
 
 def run_cli(capsys, *argv):
@@ -161,13 +162,10 @@ def test_env_overrides(tmp_path, capsys, monkeypatch):
     assert cache_file.exists()
 
 
-def test_jobs_byte_identical_json(capsys):
-    _, out1, _ = run_cli(capsys, "--format", "json", "--jobs", "1", "sweep", "60")
-    _, out8, _ = run_cli(capsys, "--format", "json", "--jobs", "8", "sweep", "60")
-    assert out1 == out8
-    _, scan1, _ = run_cli(capsys, "--format", "json", "--jobs", "1", "scan", "cyclo", "10000000")
-    _, scan8, _ = run_cli(capsys, "--format", "json", "--jobs", "8", "scan", "cyclo", "10000000")
-    assert scan1 == scan8
+def test_scan_cyclotomic_json_matches_library(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "scan", "cyclotomic", "10000000")
+    assert code == EXIT_OK
+    assert out == scan_cyclotomic_form(10**7).to_json() + "\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -178,13 +176,12 @@ def test_usage_error_exit_code(capsys):
 
 def test_zero_budget_flags_are_usage_errors(capsys):
     assert main(["--depth", "0", "good", "31"]) == EXIT_USAGE
-    assert main(["--jobs", "0", "good", "31"]) == EXIT_USAGE
     assert main(["--trial-bound", "0", "factor", "12"]) == EXIT_USAGE
 
 
 def test_env_numeric_coercion(capsys, monkeypatch):
-    monkeypatch.setenv("GOODPRIMES_JOBS", "4")
-    monkeypatch.setenv("GOODPRIMES_SEED_SCHEDULE", "1")
+    monkeypatch.setenv("GOODPRIMES_DEPTH", "4")
+    monkeypatch.setenv("GOODPRIMES_RHO_CAP", "100000")
     assert main(["good", "31"]) == EXIT_OK
     monkeypatch.setenv("GOODPRIMES_FORMAT", "bogus")
     assert main(["good", "31"]) == EXIT_USAGE

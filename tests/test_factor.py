@@ -12,7 +12,6 @@ from goodprimes.factor import (
     PrimePower,
     SearchBudget,
     factorize,
-    known_factors,
 )
 
 
@@ -79,12 +78,12 @@ def test_determinism():
 
 def test_known_factors_with_small_trial_bound():
     small = SearchBudget(trial_division_bound=1000, rho_iteration_cap=10**6)
-    found = known_factors(11212971273507, small)
+    found = factorize(11212971273507, small).prime_divisors
     assert found >= {3, 3737657091169}
     big = 3737657091169**2 + 3737657091169 + 1
-    found = known_factors(big, SearchBudget(trial_division_bound=200, rho_iteration_cap=1))
+    found = factorize(big, SearchBudget(trial_division_bound=200, rho_iteration_cap=1)).prime_divisors
     assert 181 in found
-    assert known_factors(9) == frozenset({3})
+    assert factorize(9).prime_divisors == frozenset({3})
 
 
 def test_partial_results_respect_budget(tiny_budget):
@@ -111,14 +110,14 @@ def test_monotonicity_in_budget():
     found = set()
     for trial_bound in (10, 10**3, 10**5, 2 * 10**7):
         budget = SearchBudget(trial_division_bound=trial_bound, rho_iteration_cap=5)
-        now = known_factors(n, budget)
+        now = factorize(n, budget).prime_divisors
         assert found <= now, trial_bound
         found = now
     for cap in (1, 10**2, 10**6):
         budget = SearchBudget(trial_division_bound=10, rho_iteration_cap=cap)
-        now = known_factors(n, budget)
+        now = factorize(n, budget).prime_divisors
         assert found & now <= now  # no loss against itself
-    assert known_factors(n, SearchBudget()) == {2, 3, 10_000_019, 10_000_079}
+    assert factorize(n, SearchBudget()).prime_divisors == {2, 3, 10_000_019, 10_000_079}
 
 
 def test_factorize_matches_sympy_spot(rng):

@@ -129,12 +129,6 @@ def test_squarefree_scan_no_duplicates_and_instance():
     assert report.clean and report.candidates_checked >= 1
 
 
-def test_squarefree_scan_jobs_merge_equals_sequential():
-    a = scan_squarefree_form(10**7, jobs=1)
-    b = scan_squarefree_form(10**7, jobs=8)
-    assert a.to_json() == b.to_json()
-
-
 def test_cyclotomic_scan_enumerates_faithfully():
     bound = 10**6
     report = scan_cyclotomic_form(bound, annotate_goodness=False)
@@ -164,12 +158,6 @@ def test_cyclotomic_scan_annotations():
     assert int(notes["candidates_with_prime_at_most_157"]) > 0
     assert int(notes["distinct_primes"]) > 0
     assert report.clean
-
-
-def test_cyclotomic_scan_jobs_merge_equals_sequential():
-    a = scan_cyclotomic_form(10**7, jobs=1)
-    b = scan_cyclotomic_form(10**7, jobs=8)
-    assert a.to_json() == b.to_json()
 
 
 def test_form_scan_resource_guard():
