@@ -2,8 +2,9 @@
 
 The algorithm stack is trial division up to a configurable bound followed
 by Brent's variant of the Pollard rho method on whatever composite is
-left.  Rho uses the fixed constant schedule c = 1, 2, 3, ..., so results
-are fully deterministic for a given (n, budget) pair.
+left.  Rho uses the fixed constant schedule c = 1, 2, 3, ..., and nothing
+is memoized between calls, so a result depends only on (n, budget) and on
+the `FactorCache` the caller passes, if any.
 
 Partial results are first-class: when a budget runs out the unfinished
 composite part is reported as a cofactor and the status says why the
@@ -214,15 +215,6 @@ def _rho_split(n: int, cap: int) -> int | None:
     return None
 
 
-_memo: dict[tuple[int, SearchBudget], Factorization] = {}
-_MEMO_MIN_BITS = 40  # small inputs refactor instantly; caching them just burns memory
-_MEMO_MAX_ENTRIES = 1 << 18
-
-
-def clear_memo() -> None:
-    _memo.clear()
-
-
 def factorize(
     n: int,
     budget: SearchBudget = DEFAULT_BUDGET,
@@ -230,7 +222,7 @@ def factorize(
 ) -> Factorization:
     """Factor n within the given budget; never fails, may return partial.
 
-    Deterministic for fixed (n, budget).  Completeness is
+    A complete record of n in `cache` is returned as is.  Completeness is
     guaranteed whenever the second-largest prime factor of n is at most
     the trial division bound, and holds in practice far beyond that
     (rho splits anything whose second-largest prime factor is roughly
@@ -243,21 +235,9 @@ def factorize(
     """
     if n < 2:
         raise ValueError(f"factorize needs n >= 2, got {n}")
-    key = (n, budget)
-    hit = _memo.get(key)
-    if hit is not None:
-        if cache is not None:
-            if not hit.complete:
-                upgraded = cache.get(n)
-                if upgraded is not None and upgraded.complete:
-                    return upgraded
-            cache.put(hit)
-        return hit
     if cache is not None:
         cached = cache.get(n)
         if cached is not None and cached.complete:
-            if n.bit_length() > _MEMO_MIN_BITS and len(_memo) < _MEMO_MAX_ENTRIES:
-                _memo[key] = cached
             return cached
 
     counts: dict[int, int] = {}
@@ -300,8 +280,6 @@ def factorize(
         cofactor=cofactor,
         status=status,
     )
-    if n.bit_length() > _MEMO_MIN_BITS and len(_memo) < _MEMO_MAX_ENTRIES:
-        _memo[key] = result
     if cache is not None:
         cache.put(result)
     return result

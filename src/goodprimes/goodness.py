@@ -83,11 +83,16 @@ class Origin(NamedTuple):
 
 @dataclass(frozen=True)
 class ClosureState:
+    """The closure of `root` after `depth` layers; its frontier is the
+    members discovered at `depth`.  `complete` holds while every step
+    image computed so far factored completely."""
+
     root: int
     depth: int
     members: frozenset[int]
     origins: Mapping[int, Origin]
     saturated: bool
+    complete: bool = True
 
     @property
     def ordered_members(self) -> tuple[int, ...]:
@@ -123,24 +128,26 @@ def expand(
     budget: SearchBudget = DEFAULT_BUDGET,
     cache: FactorCache | None = None,
 ) -> ClosureState:
-    """One breadth-first layer: add the step image of every member.
+    """One breadth-first layer: add the step image of the frontier.
 
-    New members record the parent lying on the lexicographically
-    smallest shortest path.  `saturated` is set when nothing new
-    appeared and every factorization finished.
+    Only the members discovered at the current depth are stepped; every
+    older member's image is already in the closure.  New members record
+    the parent lying on the lexicographically smallest shortest path.
+    `saturated` is set when nothing new appeared and every factorization
+    so far finished.
     """
-    eligible = [x for x in state.ordered_members if x > 7]
-    images = {x: cyclotomic_children(x, budget, cache) for x in eligible}
-
-    all_complete = all(complete for _, complete in images.values())
-    ranks = {x: state.path_to(x) for x in eligible}
+    complete = state.complete
     discovered: dict[int, tuple[tuple[int, ...], int]] = {}
-    for x in eligible:
-        children, _ = images[x]
+    for x in state.ordered_members:
+        if x <= 7 or state.origins[x].depth != state.depth:
+            continue
+        children, finished = cyclotomic_children(x, budget, cache)
+        complete = complete and finished
+        rank = state.path_to(x)
         for child in children:
             if child in state.members:
                 continue
-            candidate = ranks[x] + (child,)
+            candidate = rank + (child,)
             best = discovered.get(child)
             if best is None or candidate < best[0]:
                 discovered[child] = (candidate, x)
@@ -158,7 +165,8 @@ def expand(
         depth=depth,
         members=state.members | discovered.keys(),
         origins=origins,
-        saturated=not discovered and all_complete,
+        saturated=not discovered and complete,
+        complete=complete,
     )
 
 

@@ -114,13 +114,13 @@ class ScanReport:
         )
 
 
-def sieve_sigma(bound: int, self_check: bool = True) -> np.ndarray:
+def sieve_sigma(bound: int) -> np.ndarray:
     """Divisor sums sigma(n) for all n <= bound via a divisor-pair sieve.
 
     Index 0 of the returned array is unused (zero).  Bounds above 1e8
     are refused; the array alone is 8 bytes per entry.  A seeded random
     sample of the result is cross-checked against the multiplicative
-    sigma on complete factorizations unless `self_check` is disabled.
+    sigma on complete factorizations.
     """
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
@@ -133,13 +133,12 @@ def sieve_sigma(bound: int, self_check: bool = True) -> np.ndarray:
         if first <= bound:
             partners = np.arange(d + 1, bound // d + 1, dtype=np.int64)
             sig[first::d][: len(partners)] += d + partners
-    if self_check:
-        rng = random.Random(0xD1715 ^ bound)
-        for _ in range(min(1000, bound)):
-            n = rng.randint(1, bound)
-            expected = 1 if n == 1 else arith.sigma(n, factorize(n))
-            if int(sig[n]) != expected:
-                raise AssertionError(f"sieve disagrees with multiplicative sigma at n={n}")
+    rng = random.Random(0xD1715 ^ bound)
+    for _ in range(min(1000, bound)):
+        n = rng.randint(1, bound)
+        expected = 1 if n == 1 else arith.sigma(n, factorize(n))
+        if int(sig[n]) != expected:
+            raise AssertionError(f"sieve disagrees with multiplicative sigma at n={n}")
     return sig
 
 
@@ -217,13 +216,13 @@ def _check_form_bound(bound: int) -> None:
         raise ResourceLimitError(f"form scan bound {bound} exceeds limit {FORM_BOUND_LIMIT}")
 
 
-def _squarefree_alpha_scan(alpha: int, bound: int, beta_max: int | None):
+def _squarefree_alpha_scan(alpha: int, bound: int):
     base = 5**alpha
     checked = 0
     bad: list[CandidateRecord] = []
     pool = [p for p in arith.primes_up_to(math.isqrt(bound // base)) if p not in (2, 5)]
     beta = 1
-    while base * 3 ** (2 * beta) <= bound and (beta_max is None or beta <= beta_max):
+    while base * 3 ** (2 * beta) <= bound:
         e = 2 * beta
         sigma5 = arith.sigma_prime_power(5, alpha)
         stack = [(0, base, sigma5, ((5, alpha),))]
@@ -247,11 +246,7 @@ def _squarefree_alpha_scan(alpha: int, bound: int, beta_max: int | None):
     return checked, bad
 
 
-def scan_squarefree_form(
-    bound: int,
-    alpha_max: int | None = None,
-    beta_max: int | None = None,
-) -> ScanReport:
+def scan_squarefree_form(bound: int) -> ScanReport:
     """Enumerate 5^alpha * M^(2*beta) <= bound and confirm none is perfect.
 
     M ranges over odd squarefree numbers > 1 coprime to 5, alpha over
@@ -262,10 +257,10 @@ def scan_squarefree_form(
     start = time.perf_counter()
     alphas = []
     alpha = 1
-    while 5**alpha * 9 <= bound and (alpha_max is None or alpha <= alpha_max):
+    while 5**alpha * 9 <= bound:
         alphas.append(alpha)
         alpha += 4
-    parts = [_squarefree_alpha_scan(a, bound, beta_max) for a in alphas]
+    parts = [_squarefree_alpha_scan(a, bound) for a in alphas]
     checked = sum(part[0] for part in parts)
     bad = sorted((rec for part in parts for rec in part[1]), key=lambda rec: rec.value)
     return ScanReport(
@@ -278,13 +273,13 @@ def scan_squarefree_form(
     )
 
 
-def _cyclo_alpha_scan(alpha: int, bound: int, b_max: int | None, pool: list[int]):
+def _cyclo_alpha_scan(alpha: int, bound: int, pool: list[int]):
     base5 = 5**alpha
     checked = 0
     bad: list[CandidateRecord] = []
     prime_sets: list[tuple[int, ...]] = []
     b = 1
-    while base5 * 3 ** (2 * b) * 49 <= bound and (b_max is None or b <= b_max):
+    while base5 * 3 ** (2 * b) * 49 <= bound:
         base = base5 * 3 ** (2 * b)
         sigma_base = arith.sigma_prime_power(5, alpha) * arith.sigma_prime_power(3, 2 * b)
         head = ((3, 2 * b), (5, alpha))
@@ -318,8 +313,6 @@ def scan_cyclotomic_form(
     bound: int,
     budget: SearchBudget = DEFAULT_BUDGET,
     cache: FactorCache | None = None,
-    alpha_max: int | None = None,
-    b_max: int | None = None,
     annotate_goodness: bool = True,
 ) -> ScanReport:
     """Enumerate 5^a * 3^(2b) * prod qi^(6ki+2) <= bound; none may be perfect.
@@ -335,10 +328,10 @@ def scan_cyclotomic_form(
     qpool = [p for p in arith.primes_up_to(math.isqrt(bound // 45)) if p > 5]
     alphas = []
     alpha = 1
-    while 5**alpha * 9 * 49 <= bound and (alpha_max is None or alpha <= alpha_max):
+    while 5**alpha * 9 * 49 <= bound:
         alphas.append(alpha)
         alpha += 1
-    parts = [_cyclo_alpha_scan(a, bound, b_max, qpool) for a in alphas]
+    parts = [_cyclo_alpha_scan(a, bound, qpool) for a in alphas]
 
     checked = sum(part[0] for part in parts)
     bad = sorted((rec for part in parts for rec in part[1]), key=lambda rec: rec.value)

@@ -130,10 +130,14 @@ def test_criterion_07_cyclotomic_divides_sigma_step():
     _announce(7, "q^2+q+1 divides sigma(q^(6k+2))", ok)
 
 
-def test_criterion_08_desk_scale_scans():
-    odd = scan_odd_perfect(10**7)
-    squarefree = scan_squarefree_form(10**8)
-    cyclo = scan_cyclotomic_form(10**10)
+@pytest.fixture(scope="module")
+def desk_scans():
+    """The three criterion-8 reports, computed once for criteria 8 and 10."""
+    return scan_odd_perfect(10**7), scan_squarefree_form(10**8), scan_cyclotomic_form(10**10)
+
+
+def test_criterion_08_desk_scale_scans(desk_scans):
+    odd, squarefree, cyclo = desk_scans
     ok = odd.perfect_found == (6, 28, 496, 8128) and odd.counterexamples == ()
     ok = ok and squarefree.counterexamples == ()
     ok = ok and cyclo.counterexamples == ()
@@ -179,7 +183,7 @@ def test_criterion_09_certificate_roundtrip_and_tampering():
     _announce(9, "100 certificates round-trip; tampering detected", ok)
 
 
-def _structured_outputs() -> str:
+def _structured_outputs(desk_scans) -> str:
     lines = []
     # criterion 1: member sets per depth
     for state in _chain_states_13():
@@ -220,9 +224,7 @@ def _structured_outputs() -> str:
         )
     )
     # criterion 8
-    lines.append(scan_odd_perfect(10**7).to_json())
-    lines.append(scan_squarefree_form(10**8).to_json())
-    lines.append(scan_cyclotomic_form(10**10).to_json())
+    lines.extend(report.to_json() for report in desk_scans)
     return "\n".join(lines) + "\n"
 
 
@@ -231,6 +233,6 @@ def _structured_outputs() -> str:
 STRUCTURED_OUTPUTS_SHA256 = "cb343ade79a86a36a7d7e8344a9ae0c6556a2f2d5ee02d4e96a8bd73e4c5f7f2"
 
 
-def test_criterion_10_determinism_across_jobs():
-    digest = hashlib.sha256(_structured_outputs().encode()).hexdigest()
+def test_criterion_10_determinism_across_jobs(desk_scans):
+    digest = hashlib.sha256(_structured_outputs(desk_scans).encode()).hexdigest()
     _announce(10, "structured outputs match the pinned digest", digest == STRUCTURED_OUTPUTS_SHA256)

@@ -64,13 +64,9 @@ def test_reconstruction_random(rng):
 
 
 def test_determinism():
-    from goodprimes import factor as factor_module
-
     budget = SearchBudget(trial_division_bound=100, rho_iteration_cap=10**6)
     n = 10**16 + 61
-    factor_module.clear_memo()
     a = factorize(n, budget)
-    factor_module.clear_memo()  # force a genuine recomputation
     b = factorize(n, budget)
     assert a == b
     assert a.to_line() == b.to_line()
@@ -203,12 +199,19 @@ def test_cache_skips_corrupt_lines(tmp_path):
 
 
 def test_cache_used_by_factorize(tmp_path):
-    from goodprimes import factor as factor_module
-
     path = tmp_path / "factors.cache"
     cache = FactorCache(path)
     record = factorize(32943, cache=cache)
     assert cache.get(32943) == record
-    factor_module.clear_memo()
     again = factorize(32943, cache=cache)
     assert again == record
+
+
+def test_cached_record_stays_with_its_cache(tmp_path, tiny_budget):
+    # a complete record served from a cache must not change what a later
+    # call without that cache computes under the same budget
+    n = 1000000007 * 998244353
+    cache = FactorCache(tmp_path / "factors.cache")
+    cache.put(factorize(n))
+    assert factorize(n, tiny_budget, cache).complete
+    assert factorize(n, tiny_budget).status == "exhausted"

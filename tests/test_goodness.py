@@ -106,6 +106,41 @@ def test_expand_saturated_fixpoint():
     assert expand(after).members == after.members
 
 
+def test_expand_steps_only_the_frontier(monkeypatch):
+    from goodprimes import goodness
+
+    calls = []
+
+    def counting(x, *args):
+        calls.append(x)
+        return cyclotomic_children(x, *args)
+
+    monkeypatch.setattr(goodness, "cyclotomic_children", counting)
+    states = grow(13, 5)
+    assert states[5].members == S13[5]
+    # the chain from 13 adds one member per layer, so each layer steps one
+    assert calls == [13, 61, 97, 3169, 3348577]
+
+
+def test_expand_incomplete_inert_frontier_is_not_saturated():
+    from goodprimes.goodness import ClosureState, Origin
+
+    # 11^2 + 11 + 1 = 7 * 19: pretend 19 was missed by an incomplete
+    # factorization, leaving only the inert 7 on the frontier
+    state = ClosureState(
+        root=11,
+        depth=1,
+        members=frozenset({11, 7}),
+        origins={11: Origin(None, 0), 7: Origin(11, 1)},
+        saturated=False,
+        complete=False,
+    )
+    after = expand(state)
+    assert after.members == state.members
+    assert not after.complete
+    assert not after.saturated
+
+
 def test_provenance_records_discovery():
     state = grow(13, 3)[-1]
     origin = state.origins[3169]
