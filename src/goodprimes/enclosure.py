@@ -14,11 +14,10 @@ arithmetic is in fractions.Fraction, so the returned interval provably
 contains the true value.
 """
 
+import functools
 from fractions import Fraction
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
-
-_log2_cache: dict[Fraction, tuple[Fraction, Fraction]] = {}
 
 
 def _atanh_series(z: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -38,12 +37,9 @@ def _atanh_series(z: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
             return 2 * total, 2 * total + tail
 
 
+@functools.cache
 def _log2_enclosure(width: Fraction) -> tuple[Fraction, Fraction]:
-    hit = _log2_cache.get(width)
-    if hit is None:
-        hit = _atanh_series(Fraction(1, 3), width)
-        _log2_cache[width] = hit
-    return hit
+    return _atanh_series(Fraction(1, 3), width)
 
 
 def log_enclosure(x, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:

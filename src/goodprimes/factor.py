@@ -12,6 +12,7 @@ factorization stopped.  Callers that only need *some* prime divisors can
 use what was found; callers that need completeness check `status`.
 """
 
+import functools
 import math
 import threading
 import warnings
@@ -90,6 +91,9 @@ class Factorization:
         for pp in self.factors:
             if pp.exponent < 1:
                 raise ValueError(f"exponent < 1 on {pp}")
+            # then prime**exponent > target: refuse before computing it
+            if pp.exponent >= self.target.bit_length():
+                raise ValueError(f"exponent of {pp} too large for {self.target}")
             if pp.prime <= last:
                 raise ValueError("factors not sorted by prime")
             last = pp.prime
@@ -97,7 +101,7 @@ class Factorization:
                 raise ValueError(f"{pp.prime} is not prime")
             product *= pp.prime**pp.exponent
         if product != self.target:
-            raise ValueError(f"factors reconstruct {product}, not {self.target}")
+            raise ValueError(f"factors do not reconstruct {self.target}")
         if self.cofactor > 1 and arith.is_prime(self.cofactor):
             raise ValueError(f"cofactor {self.cofactor} is prime, should be a factor")
 
@@ -121,25 +125,12 @@ class Factorization:
         return cls(target, tuple(factors), cofactor, status)
 
 
-_block_cache: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-_block_lock = threading.Lock()
-
-
-def _prime_blocks(bound: int) -> list[tuple[int, tuple[int, ...]]]:
+@functools.cache
+def _prime_blocks(bound: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     # products of 64 primes at a time; one gcd screens a whole block
-    blocks = _block_cache.get(bound)
-    if blocks is None:
-        primes = arith.primes_up_to(bound)
-        blocks = []
-        for i in range(0, len(primes), 64):
-            chunk = tuple(primes[i : i + 64])
-            prod = 1
-            for p in chunk:
-                prod *= p
-            blocks.append((prod, chunk))
-        with _block_lock:
-            _block_cache[bound] = blocks
-    return blocks
+    primes = arith.primes_up_to(bound)
+    chunks = (tuple(primes[i : i + 64]) for i in range(0, len(primes), 64))
+    return tuple((math.prod(chunk), chunk) for chunk in chunks)
 
 
 def _trial_divide(n: int, bound: int, counts: dict[int, int]) -> int:

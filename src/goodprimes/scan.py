@@ -10,9 +10,13 @@ positive control.  The form scans enumerate the sparse candidate sets
     cyclotomic form:   5^alpha * 3^(2b) * q1^(6k1+2) * ... * qt^(6kt+2),
                        distinct primes qi > 5, t >= 1
 
-directly from their factorizations, test sigma(n) != 2n with the exact
-multiplicative sigma (never the sieve, candidates may exceed sieve
-memory), and re-check each emitted candidate against the form predicate.
+directly from their factorizations with one enumerator: each form is a
+list of roots (5^alpha, or 5^alpha * 3^(2b)) times products of distinct
+primes from one ascending pool, each prime raised to one of the
+exponents its root allows (2*beta; or 2, 8, 14, ...).  The enumerator
+tests sigma(n) != 2n with the exact multiplicative sigma (never the
+sieve, candidates may exceed sieve memory), and re-checks each emitted
+candidate against the form predicate.
 The cyclotomic scan additionally annotates every candidate with whether
 one of its qi primes is good, and whether one is at most 157.
 
@@ -216,97 +220,70 @@ def _check_form_bound(bound: int) -> None:
         raise ResourceLimitError(f"form scan bound {bound} exceeds limit {FORM_BOUND_LIMIT}")
 
 
-def _squarefree_alpha_scan(alpha: int, bound: int):
-    base = 5**alpha
+def _enumerate_form(bound: int, pool: list[int], matches, roots):
+    """Walk every root times a product of distinct pool primes <= bound.
+
+    Each root is (value, sigma(value), factors, exponents): a prime q of
+    the ascending pool enters with one exponent of the ascending
+    `exponents`.  Returns the candidate count, the perfect candidates by
+    value, and the pool primes of each candidate.
+    """
     checked = 0
-    bad: list[CandidateRecord] = []
-    pool = [p for p in arith.primes_up_to(math.isqrt(bound // base)) if p not in (2, 5)]
-    beta = 1
-    while base * 3 ** (2 * beta) <= bound:
-        e = 2 * beta
-        sigma5 = arith.sigma_prime_power(5, alpha)
-        stack = [(0, base, sigma5, ((5, alpha),))]
+    perfect: list[CandidateRecord] = []
+    prime_sets: list[tuple[int, ...]] = []
+    for root_value, root_sigma, root_factors, exponents in roots:
+        stack = [(0, root_value, root_sigma, root_factors, ())]
         while stack:
-            start_index, value, sigma_acc, factors = stack.pop()
+            start_index, value, sigma_acc, factors, qs = stack.pop()
             for j in range(start_index, len(pool)):
-                p = pool[j]
-                step = p**e
-                candidate = value * step
-                if candidate > bound:
+                q = pool[j]
+                if value * q ** exponents[0] > bound:
                     break
-                cand_sigma = sigma_acc * arith.sigma_prime_power(p, e)
-                cand_factors = factors + ((p, e),)
-                if not matches_squarefree_form(cand_factors):
-                    raise AssertionError(f"enumerator left the squarefree form at {candidate}")
-                checked += 1
-                if cand_sigma == 2 * candidate:
-                    bad.append(CandidateRecord(candidate, cand_factors, cand_sigma))
-                stack.append((j + 1, candidate, cand_sigma, cand_factors))
-        beta += 1
-    return checked, bad
+                for e in exponents:
+                    candidate = value * q**e
+                    if candidate > bound:
+                        break
+                    cand_sigma = sigma_acc * arith.sigma_prime_power(q, e)
+                    cand_factors = factors + ((q, e),)
+                    if not matches(cand_factors):
+                        raise AssertionError(f"enumerator left the form at {candidate}")
+                    checked += 1
+                    if cand_sigma == 2 * candidate:
+                        perfect.append(CandidateRecord(candidate, cand_factors, cand_sigma))
+                    cand_qs = qs + (q,)
+                    prime_sets.append(cand_qs)
+                    stack.append((j + 1, candidate, cand_sigma, cand_factors, cand_qs))
+    return checked, sorted(perfect, key=lambda rec: rec.value), prime_sets
 
 
 def scan_squarefree_form(bound: int) -> ScanReport:
     """Enumerate 5^alpha * M^(2*beta) <= bound and confirm none is perfect.
 
     M ranges over odd squarefree numbers > 1 coprime to 5, alpha over
-    1, 5, 9, ...; perfection is tested with the exact multiplicative
-    sigma on the constructed factorization.
+    1, 5, 9, ...; each (alpha, beta) is one root 5^alpha of the shared
+    form enumerator, whose primes all enter with exponent 2*beta.
+    Perfection is tested with the exact multiplicative sigma on the
+    constructed factorization.
     """
     _check_form_bound(bound)
     start = time.perf_counter()
-    alphas = []
-    alpha = 1
-    while 5**alpha * 9 <= bound:
-        alphas.append(alpha)
-        alpha += 4
-    parts = [_squarefree_alpha_scan(a, bound) for a in alphas]
-    checked = sum(part[0] for part in parts)
-    bad = sorted((rec for part in parts for rec in part[1]), key=lambda rec: rec.value)
+    pool = [p for p in arith.primes_up_to(math.isqrt(bound // 5)) if p not in (2, 5)]
+    top = bound.bit_length()  # 5^alpha <= bound needs alpha < top, likewise 9^beta
+    roots = [
+        (5**alpha, arith.sigma_prime_power(5, alpha), ((5, alpha),), (2 * beta,))
+        for alpha in range(1, top, 4)
+        for beta in range(1, top)
+        if 5**alpha * 9**beta <= bound
+    ]
+    checked, perfect, _ = _enumerate_form(bound, pool, matches_squarefree_form, roots)
     return ScanReport(
         form=FORM_SQUAREFREE,
         bound=bound,
         candidates_checked=checked,
-        counterexamples=tuple(bad),
+        counterexamples=tuple(perfect),
         perfect_found=(),
         elapsed=time.perf_counter() - start,
     )
-
-
-def _cyclo_alpha_scan(alpha: int, bound: int, pool: list[int]):
-    base5 = 5**alpha
-    checked = 0
-    bad: list[CandidateRecord] = []
-    prime_sets: list[tuple[int, ...]] = []
-    b = 1
-    while base5 * 3 ** (2 * b) * 49 <= bound:
-        base = base5 * 3 ** (2 * b)
-        sigma_base = arith.sigma_prime_power(5, alpha) * arith.sigma_prime_power(3, 2 * b)
-        head = ((3, 2 * b), (5, alpha))
-        stack = [(0, base, sigma_base, head, ())]
-        while stack:
-            start_index, value, sigma_acc, factors, qs = stack.pop()
-            for j in range(start_index, len(pool)):
-                q = pool[j]
-                step = q * q
-                candidate = value * step
-                if candidate > bound:
-                    break
-                exponent = 2
-                while candidate <= bound:
-                    cand_sigma = sigma_acc * arith.sigma_prime_power(q, exponent)
-                    cand_factors = tuple(sorted(factors + ((q, exponent),)))
-                    if not matches_cyclotomic_form(cand_factors):
-                        raise AssertionError(f"enumerator left the cyclotomic form at {candidate}")
-                    checked += 1
-                    if cand_sigma == 2 * candidate:
-                        bad.append(CandidateRecord(candidate, cand_factors, cand_sigma))
-                    prime_sets.append(qs + (q,))
-                    stack.append((j + 1, candidate, cand_sigma, factors + ((q, exponent),), qs + (q,)))
-                    exponent += 6
-                    candidate *= q**6
-        b += 1
-    return checked, bad, prime_sets
 
 
 def scan_cyclotomic_form(
@@ -317,7 +294,9 @@ def scan_cyclotomic_form(
 ) -> ScanReport:
     """Enumerate 5^a * 3^(2b) * prod qi^(6ki+2) <= bound; none may be perfect.
 
-    Each candidate is annotated with whether some qi is good under the
+    Each (a, b) is one root 5^a * 3^(2b) of the shared form enumerator,
+    whose primes qi > 5 enter with exponents 2, 8, 14, ...  Each
+    candidate is annotated with whether some qi is good under the
     given budget (inconclusive verdicts are counted, never fatal) and
     whether some qi is at most 157.  Goodness of each distinct prime is
     decided once and shared.  q = 7 can occur in the form but goodness
@@ -325,17 +304,17 @@ def scan_cyclotomic_form(
     """
     _check_form_bound(bound)
     start = time.perf_counter()
-    qpool = [p for p in arith.primes_up_to(math.isqrt(bound // 45)) if p > 5]
-    alphas = []
-    alpha = 1
-    while 5**alpha * 9 * 49 <= bound:
-        alphas.append(alpha)
-        alpha += 1
-    parts = [_cyclo_alpha_scan(a, bound, qpool) for a in alphas]
-
-    checked = sum(part[0] for part in parts)
-    bad = sorted((rec for part in parts for rec in part[1]), key=lambda rec: rec.value)
-    prime_sets = [qs for part in parts for qs in part[2]]
+    pool = [p for p in arith.primes_up_to(math.isqrt(bound // 45)) if p > 5]
+    top = bound.bit_length()  # x^e <= bound needs e < top for every x >= 2
+    exponents = range(2, top, 6)
+    roots = [
+        (5**a * 9**b, arith.sigma_prime_power(5, a) * arith.sigma_prime_power(3, 2 * b),
+         ((3, 2 * b), (5, a)), exponents)
+        for a in range(1, top)
+        for b in range(1, top)
+        if 5**a * 9**b * 49 <= bound
+    ]
+    checked, perfect, prime_sets = _enumerate_form(bound, pool, matches_cyclotomic_form, roots)
 
     notes: list[tuple[str, str]] = []
     if annotate_goodness:
@@ -355,7 +334,7 @@ def scan_cyclotomic_form(
         form=FORM_CYCLOTOMIC,
         bound=bound,
         candidates_checked=checked,
-        counterexamples=tuple(bad),
+        counterexamples=tuple(perfect),
         perfect_found=(),
         elapsed=time.perf_counter() - start,
         notes=tuple(notes),

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import pytest
@@ -194,6 +195,23 @@ def test_cache_skips_corrupt_lines(tmp_path):
         warnings.simplefilter("always")
         cache = FactorCache(path)
     assert len(caught) == 2
+    assert cache.get(3783) == good
+    assert len(cache) == 1
+
+
+def test_cache_skips_huge_exponent_promptly(tmp_path):
+    # 5^(10^12) would need about 290 GB to compute; the line must be
+    # refused from its exponent alone, with a warning that does not print it
+    path = tmp_path / "factors.cache"
+    good = factorize(3783)
+    path.write_text("10 complete 5^1000000000000 1\n" + good.to_line() + "\n")
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cache = FactorCache(path)
+    assert time.perf_counter() - start < 5
+    assert len(caught) == 1
+    assert "too large" in str(caught[0].message)
     assert cache.get(3783) == good
     assert len(cache) == 1
 

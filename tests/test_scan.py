@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
+from goodprimes import scan
 from goodprimes.factor import factorize
 from goodprimes.scan import (
     CandidateRecord,
@@ -108,12 +109,27 @@ def brute_form_values(bound, predicate):
     return values
 
 
-def test_squarefree_scan_enumerates_faithfully():
+def record_candidates(monkeypatch, name):
+    # wrap the scan's form predicate to record the value of every candidate
+    values = []
+    predicate = getattr(scan, name)
+
+    def recording(pairs):
+        values.append(math.prod(p**e for p, e in pairs))
+        return predicate(pairs)
+
+    monkeypatch.setattr(scan, name, recording)
+    return values
+
+
+def test_squarefree_scan_enumerates_faithfully(monkeypatch):
     bound = 10**6
+    values = record_candidates(monkeypatch, "matches_squarefree_form")
     report = scan_squarefree_form(bound)
     assert report.clean
     expected = brute_form_values(bound, matches_squarefree_form)
-    assert report.candidates_checked == len(expected)
+    assert len(values) == len(set(values)) == report.candidates_checked
+    assert set(values) == expected
 
 
 def test_squarefree_scan_no_duplicates_and_instance():
@@ -129,12 +145,14 @@ def test_squarefree_scan_no_duplicates_and_instance():
     assert report.clean and report.candidates_checked >= 1
 
 
-def test_cyclotomic_scan_enumerates_faithfully():
+def test_cyclotomic_scan_enumerates_faithfully(monkeypatch):
     bound = 10**6
+    values = record_candidates(monkeypatch, "matches_cyclotomic_form")
     report = scan_cyclotomic_form(bound, annotate_goodness=False)
     assert report.clean
     expected = brute_form_values(bound, matches_cyclotomic_form)
-    assert report.candidates_checked == len(expected)
+    assert len(values) == len(set(values)) == report.candidates_checked
+    assert set(values) == expected
 
 
 def _cyclo_count(bound):
