@@ -33,7 +33,7 @@ _prime_list_bound = 0
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n in ascending order (cached, grow-only; treat as read-only)."""
+    """All primes <= n in ascending order, as a fresh list (the sieve is cached, grow-only)."""
     global _prime_list, _prime_list_bound
     if n < 2:
         return []
@@ -45,8 +45,6 @@ def primes_up_to(n: int) -> list[int]:
                 sieve[p * p :: p] = False
         _prime_list = [int(p) for p in np.nonzero(sieve)[0]]
         _prime_list_bound = n
-    if n == _prime_list_bound:
-        return _prime_list
     return _prime_list[: bisect.bisect_right(_prime_list, n)]
 
 

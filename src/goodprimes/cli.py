@@ -2,8 +2,8 @@
 
 One binary, subcommand style.  Exit codes: 0 success / assertions hold,
 1 assertion failure (counterexample, not-good verdict, failed
-verification), 2 usage error, 3 budget or resource exhaustion with an
-inconclusive result.
+verification), 2 usage error (also an unusable --cache or -o path),
+3 budget or resource exhaustion with an inconclusive result.
 
 Global flags may also be set through environment variables prefixed
 GOODPRIMES_ (GOODPRIMES_CACHE, GOODPRIMES_DEPTH, GOODPRIMES_TRIAL_BOUND,
@@ -296,21 +296,25 @@ def main(argv=None) -> int:
         budget = _budget_from(args)
     except ValueError as exc:
         return _usage_error(str(exc))
-    cache = FactorCache(args.cache) if args.cache else None
-    if args.command == "good":
-        return _cmd_good(args, budget, cache)
-    if args.command == "cert":
-        return _cmd_cert(args, budget, cache)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args, budget, cache)
-    if args.command == "scan":
-        return _cmd_scan(args, budget, cache)
-    if args.command == "oracle":
-        return _cmd_oracle(args, budget)
-    if args.command == "factor":
-        return _cmd_factor(args, budget, cache)
+    try:
+        cache = FactorCache(args.cache) if args.cache else None
+        if args.command == "good":
+            return _cmd_good(args, budget, cache)
+        if args.command == "cert":
+            return _cmd_cert(args, budget, cache)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args, budget, cache)
+        if args.command == "scan":
+            return _cmd_scan(args, budget, cache)
+        if args.command == "oracle":
+            return _cmd_oracle(args, budget)
+        if args.command == "factor":
+            return _cmd_factor(args, budget, cache)
+    except OSError as exc:
+        # an unusable --cache or -o path is a usage error, not a failed assertion
+        return _usage_error(str(exc))
     return _usage_error(f"unknown command {args.command!r}")
 
 

@@ -15,7 +15,9 @@ verdicts:
 - inconclusive:  the depth or factoring budget ran out first.
 
 Certificates are canonical: shortest depth first, then the
-lexicographically smallest prime path.  `verify_certificate` replays a
+lexicographically smallest prime path.  Each layer's new members are
+kept in that canonical-path order, so the search ranks no paths: the
+first goal prime met is the winner.  `verify_certificate` replays a
 certificate from scratch, using neither the factorizer nor any cache,
 so a verified certificate stands on its own.
 
@@ -74,38 +76,42 @@ def cyclotomic_children(
     return frozenset(children), result.complete
 
 
-class Origin(NamedTuple):
-    """How a member entered the closure: step edge plus discovery depth."""
-
-    parent: int | None
-    depth: int
-
-
 @dataclass(frozen=True)
 class ClosureState:
-    """The closure of `root` after `depth` layers; its frontier is the
-    members discovered at `depth`.  `complete` holds while every step
-    image computed so far factored completely."""
+    """The closure of `root` after `depth` layers.
+
+    `parents` maps each member to the member it was first reached from
+    (None for the root), so `path_to` follows canonical paths.  The
+    `frontier` holds the members first reached at `depth` in canonical-path
+    order: shortest path first, then the lexicographically smallest.
+    `complete` holds while every step image computed so far factored
+    completely.
+    """
 
     root: int
     depth: int
-    members: frozenset[int]
-    origins: Mapping[int, Origin]
-    saturated: bool
+    parents: Mapping[int, int | None]
+    frontier: tuple[int, ...]
     complete: bool = True
 
     @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.parents)
+
+    @property
     def ordered_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(sorted(self.parents))
+
+    @property
+    def saturated(self) -> bool:
+        """Nothing new appeared and every factorization so far finished."""
+        return not self.frontier and self.complete
 
     def path_to(self, member: int) -> tuple[int, ...]:
         """The canonical prime path from the root to a member."""
         path = [member]
-        while True:
-            parent = self.origins[path[-1]].parent
-            if parent is None:
-                break
-            path.append(parent)
+        while self.parents[path[-1]] is not None:
+            path.append(self.parents[path[-1]])
         return tuple(reversed(path))
 
 
@@ -114,13 +120,7 @@ def initial_state(p: int) -> ClosureState:
         raise ValueError(f"closure roots must be primes > 7, got {p}")
     if not arith.is_prime(p):
         raise ValueError(f"closure roots must be prime, got {p}")
-    return ClosureState(
-        root=p,
-        depth=0,
-        members=frozenset({p}),
-        origins={p: Origin(None, 0)},
-        saturated=False,
-    )
+    return ClosureState(root=p, depth=0, parents={p: None}, frontier=(p,))
 
 
 def expand(
@@ -130,44 +130,29 @@ def expand(
 ) -> ClosureState:
     """One breadth-first layer: add the step image of the frontier.
 
-    Only the members discovered at the current depth are stepped; every
-    older member's image is already in the closure.  New members record
-    the parent lying on the lexicographically smallest shortest path.
-    `saturated` is set when nothing new appeared and every factorization
-    so far finished.
+    Only the frontier is stepped; every older member's image is already
+    in the closure.  Paths of equal length order by their parents' paths
+    first, so visiting the frontier in canonical order, each member's new
+    children in ascending order, makes the first member to reach a new
+    prime its canonical parent and lists the new frontier in canonical
+    order again.
     """
     complete = state.complete
-    discovered: dict[int, tuple[tuple[int, ...], int]] = {}
-    for x in state.ordered_members:
-        if x <= 7 or state.origins[x].depth != state.depth:
+    parents = dict(state.parents)
+    frontier: list[int] = []
+    for x in state.frontier:
+        if x <= 7:
             continue
         children, finished = cyclotomic_children(x, budget, cache)
         complete = complete and finished
-        rank = state.path_to(x)
-        for child in children:
-            if child in state.members:
-                continue
-            candidate = rank + (child,)
-            best = discovered.get(child)
-            if best is None or candidate < best[0]:
-                discovered[child] = (candidate, x)
+        for child in sorted(children - parents.keys()):
+            parents[child] = x
+            frontier.append(child)
 
-    bad = _FORBIDDEN_MEMBERS & discovered.keys()
+    bad = _FORBIDDEN_MEMBERS.intersection(frontier)
     if bad:
         raise AssertionError(f"forbidden primes {sorted(bad)} reached the closure of {state.root}")
-
-    origins = dict(state.origins)
-    depth = state.depth + 1
-    for child, (_, parent) in discovered.items():
-        origins[child] = Origin(parent, depth)
-    return ClosureState(
-        root=state.root,
-        depth=depth,
-        members=state.members | discovered.keys(),
-        origins=origins,
-        saturated=not discovered and complete,
-        complete=complete,
-    )
+    return ClosureState(state.root, state.depth + 1, parents, tuple(frontier), complete)
 
 
 @dataclass(frozen=True)
@@ -299,24 +284,22 @@ def is_good(
     """Decide goodness of the prime p > 7 within the budget.
 
     Returns the canonical certificate on success (minimal depth, then
-    lexicographically smallest path).  `not_good` is only reported for a
-    genuinely saturated closure: no new members and every factorization
-    complete.  Anything cut short by the depth or factoring budget is
-    `inconclusive`.
+    lexicographically smallest path): the first goal prime on the first
+    frontier holding one, since each frontier is in canonical order.
+    `not_good` is only reported for a genuinely saturated closure: no new
+    members and every factorization complete.  Anything cut short by the
+    depth or factoring budget is `inconclusive`.
     """
     state = initial_state(p)
-    if p % GOAL_MODULUS in GOAL_RESIDUES:
-        return GoodnessResult(GOOD, certificate_for(state, p), state)
-    while state.depth < budget.max_depth:
-        previous = state.members
-        state = expand(state, budget, cache)
-        goals = [m for m in state.members - previous if m % GOAL_MODULUS in GOAL_RESIDUES]
-        if goals:
-            winner = min(goals, key=state.path_to)
-            return GoodnessResult(GOOD, certificate_for(state, winner), state)
+    while True:
+        for member in state.frontier:
+            if member % GOAL_MODULUS in GOAL_RESIDUES:
+                return GoodnessResult(GOOD, certificate_for(state, member), state)
         if state.saturated:
             return GoodnessResult(NOT_GOOD, None, state)
-    return GoodnessResult(INCONCLUSIVE, None, state)
+        if state.depth >= budget.max_depth:
+            return GoodnessResult(INCONCLUSIVE, None, state)
+        state = expand(state, budget, cache)
 
 
 @dataclass(frozen=True)

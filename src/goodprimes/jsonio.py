@@ -19,6 +19,6 @@ def dec(value: int) -> str:
 def undec(text) -> int:
     if isinstance(text, int):
         return text
-    if not isinstance(text, str) or not text or not text.lstrip("-").isdigit():
+    if not isinstance(text, str) or not text.isascii() or not text.lstrip("-").isdigit():
         raise ValueError(f"not a decimal string: {text!r}")
     return int(text)

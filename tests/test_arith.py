@@ -64,6 +64,14 @@ def test_primes_up_to_matches_sympy():
     assert primes_up_to(2) == [2]
 
 
+def test_primes_up_to_returns_a_fresh_list(monkeypatch):
+    # start from an empty sieve so the call below is the largest bound seen
+    monkeypatch.setattr(arith, "_prime_list", [])
+    monkeypatch.setattr(arith, "_prime_list_bound", 0)
+    primes_up_to(1000).append(4)
+    assert primes_up_to(1000) == list(sympy.primerange(2, 1001))
+
+
 def test_is_prime_small_range_exhaustive():
     for n in range(200_000):
         assert is_prime(n) == sympy.isprime(n), n

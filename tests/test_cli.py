@@ -73,6 +73,24 @@ def test_verify_unreadable_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_verify_rejects_non_ascii_digits(tmp_path, capsys):
+    cert_file = tmp_path / "cert.json"
+    run_cli(capsys, "cert", "31", "-o", str(cert_file))
+    data = json.loads(cert_file.read_text())
+    data["root"] = "٣١"  # 31 in Arabic-Indic digits
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", str(cert_file))
+    assert code == EXIT_USAGE
+    assert "not a decimal string" in err and out == ""
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "cert", "31", "-o", str(tmp_path / "missing" / "cert.json"))
+    assert code == EXIT_USAGE
+    assert err.startswith("goodprimes: error: ") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_sweep_text(capsys):
     code, out, _ = run_cli(capsys, "sweep", "32")
     assert code == EXIT_OK
@@ -150,6 +168,13 @@ def test_factor_cache_flag(tmp_path, capsys):
     assert code == EXIT_OK
     assert cache_file.exists()
     assert "9507 complete 3^1 3169^1 1" in cache_file.read_text()
+
+
+def test_unusable_cache_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--cache", str(tmp_path), "good", "31")
+    assert code == EXIT_USAGE
+    assert err.startswith("goodprimes: error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 def test_env_overrides(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import sympy
 
 from goodprimes.factor import SearchBudget
 from goodprimes.goodness import (
@@ -93,13 +94,11 @@ def test_expand_monotone_and_forbidden_free():
 
 
 def test_expand_saturated_fixpoint():
-    from goodprimes.goodness import ClosureState, Origin
+    from goodprimes.goodness import ClosureState
 
     # a frontier whose members are all inert (7 is never stepped) cannot
     # grow: expanding marks it saturated and leaves the members unchanged
-    state = ClosureState(
-        root=11, depth=1, members=frozenset({7}), origins={7: Origin(None, 1)}, saturated=False
-    )
+    state = ClosureState(root=11, depth=1, parents={7: None}, frontier=(7,))
     after = expand(state)
     assert after.saturated
     assert after.members == state.members
@@ -123,16 +122,15 @@ def test_expand_steps_only_the_frontier(monkeypatch):
 
 
 def test_expand_incomplete_inert_frontier_is_not_saturated():
-    from goodprimes.goodness import ClosureState, Origin
+    from goodprimes.goodness import ClosureState
 
     # 11^2 + 11 + 1 = 7 * 19: pretend 19 was missed by an incomplete
     # factorization, leaving only the inert 7 on the frontier
     state = ClosureState(
         root=11,
         depth=1,
-        members=frozenset({11, 7}),
-        origins={11: Origin(None, 0), 7: Origin(11, 1)},
-        saturated=False,
+        parents={11: None, 7: 11},
+        frontier=(7,),
         complete=False,
     )
     after = expand(state)
@@ -143,10 +141,53 @@ def test_expand_incomplete_inert_frontier_is_not_saturated():
 
 def test_provenance_records_discovery():
     state = grow(13, 3)[-1]
-    origin = state.origins[3169]
-    assert origin.parent == 97
-    assert origin.depth == 3
+    assert state.parents[3169] == 97
+    assert state.frontier == (3169,)
     assert state.path_to(3169) == (13, 61, 97, 3169)
+
+
+def shortest_paths(root, depth):
+    """Every shortest step-map path from root to each member within depth
+    layers, by plain breadth-first search over sympy's factorizations."""
+    paths = {root: [(root,)]}
+    layer = [root]
+    for _ in range(depth):
+        reached = {}
+        for x in layer:
+            if x <= 7:
+                continue
+            for q in sympy.factorint(x * x + x + 1):
+                if q != 3 and q not in paths:
+                    reached.setdefault(q, []).extend(path + (q,) for path in paths[x])
+        paths.update(reached)
+        layer = list(reached)
+    return paths
+
+
+def test_canonical_paths_match_reference_search():
+    # ties occur: 83, 223, 337 and 367 have a member reached from two
+    # parents in one layer, and for 19, 103, 127 and 293 the canonical
+    # goal is not the smallest goal of its layer
+    for p in sympy.primerange(8, 400):
+        result = is_good(p)
+        assert result.good, p
+        state = result.state
+        paths = shortest_paths(p, state.depth)
+        assert state.members == paths.keys(), p
+        goals = [min(paths[m]) for m in paths if is_goal_prime(m)]
+        cert_path = (p,) + tuple(edge[2] for edge in result.certificate.path)
+        assert cert_path == min(goals, key=lambda path: (len(path), path)), p
+        for m in state.members:
+            assert state.path_to(m) == min(paths[m]), (p, m)
+        layer = [m for m in paths if len(paths[m][0]) == state.depth + 1]
+        assert state.frontier == tuple(sorted(layer, key=lambda m: min(paths[m]))), p
+
+
+def test_certificate_rejects_non_ascii_digits():
+    text = is_good(31).certificate.to_json().replace('"root":"31"', '"root":"\u0663\u0661"')
+    assert json.loads(text)["root"] == "\u0663\u0661"
+    with pytest.raises(ValueError):
+        GoodnessCertificate.from_json(text)
 
 
 def test_is_good_31():
