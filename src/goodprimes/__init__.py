@@ -4,7 +4,7 @@ The package decides "goodness" of primes — whether iterating
 x -> {prime divisors of x^2 + x + 1 other than 3} from a prime p > 7
 reaches a prime congruent to 2 or 4 mod 7 — and emits independently
 verifiable certificates for it.  Around that sit exact number-theoretic
-primitives, a budgeted factorizer with a persistent cache, executable
+primitives, a budgeted factorizer, executable
 divisibility criteria for sigma(p^c), and desk-scale exhaustive scans of
 special multiplicative forms for perfect numbers.
 """
@@ -23,7 +23,6 @@ from .arith import (
 from .enclosure import log_enclosure
 from .factor import (
     DEFAULT_BUDGET,
-    FactorCache,
     Factorization,
     PrimePower,
     SearchBudget,
@@ -69,7 +68,6 @@ __all__ = [
     "ClosureState",
     "DEFAULT_BUDGET",
     "DivisibilityWitness",
-    "FactorCache",
     "Factorization",
     "GoodnessCertificate",
     "GoodnessResult",

@@ -2,13 +2,13 @@
 
 One binary, subcommand style.  Exit codes: 0 success / assertions hold,
 1 assertion failure (counterexample, not-good verdict, failed
-verification), 2 usage error (also an unusable --cache or -o path),
+verification), 2 usage error (also an unusable -o path),
 3 budget or resource exhaustion with an inconclusive result.
 
 Global flags may also be set through environment variables prefixed
-GOODPRIMES_ (GOODPRIMES_CACHE, GOODPRIMES_DEPTH, GOODPRIMES_TRIAL_BOUND,
-GOODPRIMES_RHO_CAP, GOODPRIMES_MAX_BITS, GOODPRIMES_FORMAT); a flag on
-the command line wins over its environment variable.
+GOODPRIMES_ (GOODPRIMES_DEPTH, GOODPRIMES_TRIAL_BOUND, GOODPRIMES_RHO_CAP,
+GOODPRIMES_MAX_BITS, GOODPRIMES_FORMAT); a flag on the command line wins
+over its environment variable.
 
 In --format json every result is one canonical JSON record per line, so
 long scans stream and identical inputs produce byte-identical output.
@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import arith
-from .factor import DEFAULT_BUDGET, FactorCache, SearchBudget, factorize
+from .factor import DEFAULT_BUDGET, SearchBudget, factorize
 from .goodness import (
     GOOD,
     INCONCLUSIVE,
@@ -60,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="goodprimes",
         description="Good-prime chain search, divisor-sum oracles, and perfect-number scans.",
     )
-    parser.add_argument("--cache", default=_env("CACHE"), help="path to the factorization cache file")
     parser.add_argument("--depth", type=int, default=_env("DEPTH"), help="closure depth limit")
     parser.add_argument("--trial-bound", type=int, default=_env("TRIAL_BOUND"), help="trial division bound")
     parser.add_argument("--rho-cap", type=int, default=_env("RHO_CAP"), help="rho iterations per composite")
@@ -128,11 +127,11 @@ def _check_root(p: int) -> str | None:
 _VERDICT_EXIT = {GOOD: EXIT_OK, NOT_GOOD: EXIT_FAIL, INCONCLUSIVE: EXIT_BUDGET}
 
 
-def _cmd_good(args, budget, cache) -> int:
+def _cmd_good(args, budget) -> int:
     problem = _check_root(args.prime)
     if problem:
         return _usage_error(problem)
-    result = is_good(args.prime, budget, cache)
+    result = is_good(args.prime, budget)
     if args.format == "json":
         record = {
             "prime": dec(args.prime),
@@ -146,11 +145,11 @@ def _cmd_good(args, budget, cache) -> int:
     return _VERDICT_EXIT[result.verdict]
 
 
-def _cmd_cert(args, budget, cache) -> int:
+def _cmd_cert(args, budget) -> int:
     problem = _check_root(args.prime)
     if problem:
         return _usage_error(problem)
-    result = is_good(args.prime, budget, cache)
+    result = is_good(args.prime, budget)
     if result.verdict != GOOD:
         print(f"no certificate: {args.prime} is {result.verdict}", file=sys.stderr)
         return _VERDICT_EXIT[result.verdict]
@@ -181,10 +180,10 @@ def _cmd_verify(args) -> int:
     return EXIT_FAIL
 
 
-def _cmd_sweep(args, budget, cache) -> int:
+def _cmd_sweep(args, budget) -> int:
     if args.limit < 11:
         return _usage_error(f"sweep limit must be at least 11, got {args.limit}")
-    report = goodness_sweep(args.limit, budget, cache)
+    report = goodness_sweep(args.limit, budget)
     if args.format == "json":
         sys.stdout.write(report.to_json_lines())
     else:
@@ -205,7 +204,7 @@ def _cmd_sweep(args, budget, cache) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(args, budget, cache) -> int:
+def _cmd_scan(args, budget) -> int:
     try:
         if args.form == FORM_ODD:
             report = scan_odd_perfect(args.bound)
@@ -214,7 +213,7 @@ def _cmd_scan(args, budget, cache) -> int:
         elif args.form == FORM_SQUAREFREE:
             report = scan_squarefree_form(args.bound)
         else:
-            report = scan_cyclotomic_form(args.bound, budget, cache)
+            report = scan_cyclotomic_form(args.bound, budget)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -234,7 +233,7 @@ def _cmd_scan(args, budget, cache) -> int:
     return EXIT_OK if report.clean else EXIT_FAIL
 
 
-def _cmd_oracle(args, budget) -> int:
+def _cmd_oracle(args) -> int:
     try:
         witness = sigma_exact_power(args.q, args.b, args.p, args.c)
     except ValueError as exc:
@@ -260,10 +259,10 @@ def _cmd_oracle(args, budget) -> int:
     return EXIT_OK
 
 
-def _cmd_factor(args, budget, cache) -> int:
+def _cmd_factor(args, budget) -> int:
     if args.n < 2:
         return _usage_error(f"factor needs n >= 2, got {args.n}")
-    result = factorize(args.n, budget, cache)
+    result = factorize(args.n, budget)
     # primality beyond the deterministic witness range is high-confidence
     # (strong base-2 + strong Lucas), and says so
     confidence = "proven"
@@ -297,23 +296,22 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     try:
-        cache = FactorCache(args.cache) if args.cache else None
         if args.command == "good":
-            return _cmd_good(args, budget, cache)
+            return _cmd_good(args, budget)
         if args.command == "cert":
-            return _cmd_cert(args, budget, cache)
+            return _cmd_cert(args, budget)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "sweep":
-            return _cmd_sweep(args, budget, cache)
+            return _cmd_sweep(args, budget)
         if args.command == "scan":
-            return _cmd_scan(args, budget, cache)
+            return _cmd_scan(args, budget)
         if args.command == "oracle":
-            return _cmd_oracle(args, budget)
+            return _cmd_oracle(args)
         if args.command == "factor":
-            return _cmd_factor(args, budget, cache)
+            return _cmd_factor(args, budget)
     except OSError as exc:
-        # an unusable --cache or -o path is a usage error, not a failed assertion
+        # an unusable -o path is a usage error, not a failed assertion
         return _usage_error(str(exc))
     return _usage_error(f"unknown command {args.command!r}")
 

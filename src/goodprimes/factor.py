@@ -1,10 +1,10 @@
-"""Integer factorization with explicit effort budgets and a persistent cache.
+"""Integer factorization with explicit effort budgets.
 
 The algorithm stack is trial division up to a configurable bound followed
 by Brent's variant of the Pollard rho method on whatever composite is
-left.  Rho uses the fixed constant schedule c = 1, 2, 3, ..., and nothing
-is memoized between calls, so a result depends only on (n, budget) and on
-the `FactorCache` the caller passes, if any.
+left.  Rho uses the fixed constant schedule c = 1, 2, 3, ..., and no
+result is stored between calls, so `factorize` is a pure function of
+(n, budget).
 
 Partial results are first-class: when a budget runs out the unfinished
 composite part is reported as a cofactor and the status says why the
@@ -14,10 +14,7 @@ use what was found; callers that need completeness check `status`.
 
 import functools
 import math
-import threading
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import arith
 
@@ -44,6 +41,11 @@ class SearchBudget:
 
     Defaults: trial division to 1e6, 1e7 rho iterations per composite,
     512-bit cap on composites handed to rho, closure depth 12.
+
+    Brent's rho checks `rho_iteration_cap` only at the end of a doubling
+    round, so an attempt that finds no divisor spends the smallest
+    2^j - 2 >= cap iterations: 2^24 - 2 = 16 777 214 for the default,
+    and never more than about twice the cap.
     """
 
     trial_division_bound: int = 10**6
@@ -109,20 +111,6 @@ class Factorization:
         mid = " ".join(str(pp) for pp in self.factors)
         mid = f" {mid}" if mid else ""
         return f"{self.target} {self.status}{mid} {self.cofactor}"
-
-    @classmethod
-    def from_line(cls, line: str) -> "Factorization":
-        tokens = line.split()
-        if len(tokens) < 3:
-            raise ValueError(f"short cache line: {line!r}")
-        target = int(tokens[0])
-        status = tokens[1]
-        cofactor = int(tokens[-1])
-        factors = []
-        for tok in tokens[2:-1]:
-            p, _, e = tok.partition("^")
-            factors.append(PrimePower(int(p), int(e)))
-        return cls(target, tuple(factors), cofactor, status)
 
 
 @functools.cache
@@ -206,15 +194,10 @@ def _rho_split(n: int, cap: int) -> int | None:
     return None
 
 
-def factorize(
-    n: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    cache: "FactorCache | None" = None,
-) -> Factorization:
+def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n within the given budget; never fails, may return partial.
 
-    A complete record of n in `cache` is returned as is.  Completeness is
-    guaranteed whenever the second-largest prime factor of n is at most
+    Completeness is guaranteed whenever the second-largest prime factor of n is at most
     the trial division bound, and holds in practice far beyond that
     (rho splits anything whose second-largest prime factor is roughly
     below the square of the iteration cap).  Status values:
@@ -226,13 +209,8 @@ def factorize(
     """
     if n < 2:
         raise ValueError(f"factorize needs n >= 2, got {n}")
-    if cache is not None:
-        cached = cache.get(n)
-        if cached is not None and cached.complete:
-            return cached
 
     counts: dict[int, int] = {}
-    skipped_bits = False
     exhausted = False
     leftovers: list[int] = []
 
@@ -246,7 +224,6 @@ def factorize(
                 counts[m] = counts.get(m, 0) + 1
                 continue
             if m.bit_length() > budget.max_candidate_bits:
-                skipped_bits = True
                 leftovers.append(m)
                 continue
             divisor = _rho_split(m, budget.rho_iteration_cap)
@@ -265,73 +242,9 @@ def factorize(
         status = STATUS_EXHAUSTED
     else:
         status = STATUS_PARTIAL
-    result = Factorization(
+    return Factorization(
         target=n,
         factors=tuple(PrimePower(p, e) for p, e in sorted(counts.items())),
         cofactor=cofactor,
         status=status,
     )
-    if cache is not None:
-        cache.put(result)
-    return result
-
-
-class FactorCache:
-    """Persistent factorization store, one human-readable record per line.
-
-    Line format: ``<target> <status> <p>^<e> <p>^<e> ... <cofactor>``,
-    every number decimal.  Writes append; on load the best record per
-    target wins.  An entry is only ever upgraded: complete beats
-    anything, otherwise a smaller cofactor (more factors pulled out)
-    beats a larger one.  Corrupt or inconsistent lines are skipped with
-    a warning, never a crash.
-
-    Reads are lock-free; writes are serialized by an in-process lock.
-    Certificate verification never consults this cache, so a stale or
-    concurrently-updated entry can at worst waste effort, not produce an
-    unverifiable result.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._entries: dict[int, Factorization] = {}
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        with self.path.open() as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = Factorization.from_line(line)
-                    record.check()
-                except (ValueError, AttributeError) as exc:
-                    warnings.warn(f"{self.path}:{lineno}: skipping bad cache line ({exc})")
-                    continue
-                self._absorb(record)
-
-    def _absorb(self, record: Factorization) -> bool:
-        current = self._entries.get(record.target)
-        if current is not None:
-            if current.complete:
-                return False
-            if not record.complete and record.cofactor >= current.cofactor:
-                return False
-        self._entries[record.target] = record
-        return True
-
-    def get(self, n: int) -> Factorization | None:
-        return self._entries.get(n)
-
-    def put(self, record: Factorization) -> None:
-        with self._lock:
-            if self._absorb(record):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a") as fh:
-                    fh.write(record.to_line() + "\n")
-
-    def __len__(self) -> int:
-        return len(self._entries)

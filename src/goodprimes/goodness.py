@@ -18,8 +18,8 @@ Certificates are canonical: shortest depth first, then the
 lexicographically smallest prime path.  Each layer's new members are
 kept in that canonical-path order, so the search ranks no paths: the
 first goal prime met is the winner.  `verify_certificate` replays a
-certificate from scratch, using neither the factorizer nor any cache,
-so a verified certificate stands on its own.
+certificate from scratch, without the factorizer, so a verified
+certificate stands on its own.
 
 Two facts keep the closure clean, and are asserted on every expansion:
 x^2 + x + 1 is always odd and never divisible by 5, so the primes 2 and
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from . import arith
-from .factor import DEFAULT_BUDGET, FactorCache, SearchBudget, factorize
+from .factor import DEFAULT_BUDGET, SearchBudget, factorize
 from .jsonio import canonical_dumps, dec, undec
 
 GOAL_MODULUS = 7
@@ -53,11 +53,7 @@ def is_goal_prime(p: int) -> bool:
     return p % GOAL_MODULUS in GOAL_RESIDUES
 
 
-def cyclotomic_children(
-    x: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    cache: FactorCache | None = None,
-) -> tuple[frozenset[int], bool]:
+def cyclotomic_children(x: int, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[frozenset[int], bool]:
     """Certified prime divisors of x^2 + x + 1 other than 3, for prime x > 7.
 
     Returns (primes, complete).  The set is nonempty whenever complete
@@ -69,7 +65,7 @@ def cyclotomic_children(
     if not arith.is_prime(x):
         raise ValueError(f"step map needs a prime, got composite {x}")
     value = arith.cyclotomic_value(3, x)
-    result = factorize(value, budget, cache)
+    result = factorize(value, budget)
     children = result.prime_divisors - {3}
     if result.complete and not children:
         raise AssertionError(f"x^2+x+1 reduced to a power of 3 at x={x}")
@@ -123,11 +119,7 @@ def initial_state(p: int) -> ClosureState:
     return ClosureState(root=p, depth=0, parents={p: None}, frontier=(p,))
 
 
-def expand(
-    state: ClosureState,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    cache: FactorCache | None = None,
-) -> ClosureState:
+def expand(state: ClosureState, budget: SearchBudget = DEFAULT_BUDGET) -> ClosureState:
     """One breadth-first layer: add the step image of the frontier.
 
     Only the frontier is stepped; every older member's image is already
@@ -143,7 +135,7 @@ def expand(
     for x in state.frontier:
         if x <= 7:
             continue
-        children, finished = cyclotomic_children(x, budget, cache)
+        children, finished = cyclotomic_children(x, budget)
         complete = complete and finished
         for child in sorted(children - parents.keys()):
             parents[child] = x
@@ -218,7 +210,7 @@ class CertificateCheck(NamedTuple):
 
 
 def verify_certificate(cert: GoodnessCertificate) -> CertificateCheck:
-    """Replay a certificate from scratch; no cache, no factorizer.
+    """Replay a certificate from scratch; no factorizer.
 
     Every edge is recomputed: the value x^2 + x + 1, the divisibility,
     the primality of both endpoints, and the 3-exclusion; then the
@@ -276,11 +268,7 @@ class GoodnessResult:
         return self.certificate.depth if self.certificate else None
 
 
-def is_good(
-    p: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    cache: FactorCache | None = None,
-) -> GoodnessResult:
+def is_good(p: int, budget: SearchBudget = DEFAULT_BUDGET) -> GoodnessResult:
     """Decide goodness of the prime p > 7 within the budget.
 
     Returns the canonical certificate on success (minimal depth, then
@@ -299,7 +287,7 @@ def is_good(
             return GoodnessResult(NOT_GOOD, None, state)
         if state.depth >= budget.max_depth:
             return GoodnessResult(INCONCLUSIVE, None, state)
-        state = expand(state, budget, cache)
+        state = expand(state, budget)
 
 
 @dataclass(frozen=True)
@@ -341,11 +329,7 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def goodness_sweep(
-    limit: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    cache: FactorCache | None = None,
-) -> SweepReport:
+def goodness_sweep(limit: int, budget: SearchBudget = DEFAULT_BUDGET) -> SweepReport:
     """Goodness verdict for every prime p with 7 < p < limit, in prime order.
 
     Inconclusive verdicts are reported, never hidden.
@@ -355,6 +339,6 @@ def goodness_sweep(
     entries = []
     for p in arith.primes_up_to(limit - 1):
         if p > 7:
-            result = is_good(p, budget, cache)
+            result = is_good(p, budget)
             entries.append(SweepEntry(p, result.verdict, result.depth, result.certificate))
     return SweepReport(limit=limit, entries=tuple(entries))

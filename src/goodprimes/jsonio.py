@@ -1,8 +1,8 @@
 """Canonical JSON helpers shared by certificates and scan reports.
 
-All integers are serialized as decimal strings and objects are dumped
-with sorted keys and fixed separators, so equal values always produce
-byte-identical text.
+All integers are serialized as decimal strings, and read back only from
+that canonical form.  Objects are dumped with sorted keys and fixed
+separators, so equal values always produce byte-identical text.
 """
 
 import json
@@ -17,8 +17,9 @@ def dec(value: int) -> str:
 
 
 def undec(text) -> int:
-    if isinstance(text, int):
-        return text
     if not isinstance(text, str) or not text.isascii() or not text.lstrip("-").isdigit():
         raise ValueError(f"not a decimal string: {text!r}")
-    return int(text)
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"not a canonical decimal string: {text!r}")
+    return value

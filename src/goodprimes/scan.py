@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
-from .factor import DEFAULT_BUDGET, FactorCache, SearchBudget, factorize
+from .factor import DEFAULT_BUDGET, SearchBudget, factorize
 from .goodness import GOOD, INCONCLUSIVE, is_good
 from .jsonio import canonical_dumps, dec, undec
 
@@ -289,7 +289,6 @@ def scan_squarefree_form(bound: int) -> ScanReport:
 def scan_cyclotomic_form(
     bound: int,
     budget: SearchBudget = DEFAULT_BUDGET,
-    cache: FactorCache | None = None,
     annotate_goodness: bool = True,
 ) -> ScanReport:
     """Enumerate 5^a * 3^(2b) * prod qi^(6ki+2) <= bound; none may be perfect.
@@ -319,7 +318,7 @@ def scan_cyclotomic_form(
     notes: list[tuple[str, str]] = []
     if annotate_goodness:
         distinct = sorted({q for qs in prime_sets for q in qs})
-        verdicts = {q: "undefined" if q <= 7 else is_good(q, budget, cache).verdict for q in distinct}
+        verdicts = {q: "undefined" if q <= 7 else is_good(q, budget).verdict for q in distinct}
         with_good = sum(1 for qs in prime_sets if any(verdicts[q] == GOOD for q in qs))
         with_small = sum(1 for qs in prime_sets if any(q <= 157 for q in qs))
         inconclusive = sum(1 for q in distinct if verdicts[q] == INCONCLUSIVE)

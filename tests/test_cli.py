@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from goodprimes.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from goodprimes.goodness import goodness_sweep
 from goodprimes.scan import scan_cyclotomic_form
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +85,17 @@ def test_verify_rejects_non_ascii_digits(tmp_path, capsys):
     run_cli(capsys, "cert", "31", "-o", str(cert_file))
     data = json.loads(cert_file.read_text())
     data["root"] = "٣١"  # 31 in Arabic-Indic digits
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", str(cert_file))
+    assert code == EXIT_USAGE
+    assert "not a decimal string" in err and out == ""
+
+
+def test_verify_rejects_json_number(tmp_path, capsys):
+    cert_file = tmp_path / "cert.json"
+    run_cli(capsys, "cert", "31", "-o", str(cert_file))
+    data = json.loads(cert_file.read_text())
+    data["root"] = 31
     cert_file.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "verify", str(cert_file))
     assert code == EXIT_USAGE
@@ -162,29 +180,30 @@ def test_factor_budget_exhaustion_exit(capsys):
     assert code == EXIT_BUDGET
 
 
-def test_factor_cache_flag(tmp_path, capsys):
-    cache_file = tmp_path / "factors.cache"
-    code, _, _ = run_cli(capsys, "--cache", str(cache_file), "factor", "9507")
-    assert code == EXIT_OK
-    assert cache_file.exists()
-    assert "9507 complete 3^1 3169^1 1" in cache_file.read_text()
+def test_cache_flag_is_usage_error():
+    assert main(["--cache", "x", "factor", "12"]) == EXIT_USAGE
 
 
-def test_unusable_cache_is_usage_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "--cache", str(tmp_path), "good", "31")
-    assert code == EXIT_USAGE
-    assert err.startswith("goodprimes: error: ") and err.count("\n") == 1
-    assert out == ""
-
-
-def test_env_overrides(tmp_path, capsys, monkeypatch):
-    cache_file = tmp_path / "env.cache"
-    monkeypatch.setenv("GOODPRIMES_CACHE", str(cache_file))
+def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("GOODPRIMES_FORMAT", "json")
     code, out, _ = run_cli(capsys, "factor", "9507")
     assert code == EXIT_OK
     assert json.loads(out)["status"] == "complete"
-    assert cache_file.exists()
+
+
+def test_fresh_process_sweep_matches_warm_library():
+    # a run in a new interpreter must print what this process computes
+    # after earlier calls have warmed every module-level memo
+    goodness_sweep(200)
+    scan_cyclotomic_form(10**6)
+    warm = goodness_sweep(400).to_json_lines()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "goodprimes", "--format", "json", "sweep", "400"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert fresh.returncode == EXIT_OK, fresh.stderr
+    assert fresh.stdout == warm
 
 
 def test_scan_cyclotomic_json_matches_library(capsys):

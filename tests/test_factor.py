@@ -1,6 +1,5 @@
 import math
 import time
-import warnings
 
 import pytest
 import sympy
@@ -8,10 +7,10 @@ import sympy
 from goodprimes.arith import primes_up_to
 from goodprimes.factor import (
     DEFAULT_BUDGET,
-    FactorCache,
     Factorization,
     PrimePower,
     SearchBudget,
+    _brent,
     factorize,
 )
 
@@ -150,86 +149,32 @@ def test_factorization_check_catches_corruption():
         bad.check()
 
 
-# ---- cache ------------------------------------------------------------------
-
-
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "factors.cache"
-    cache = FactorCache(path)
-    record = factorize(9507)
-    cache.put(record)
-    assert cache.get(9507) == record
-    reloaded = FactorCache(path)
-    assert reloaded.get(9507) == record
-    assert reloaded.get(12345) is None
-
-
-def test_cache_monotone_upgrade(tmp_path):
-    path = tmp_path / "factors.cache"
-    cache = FactorCache(path)
-    n = 9576890767 * 9576890821
-    partial = factorize(n, SearchBudget(trial_division_bound=10, rho_iteration_cap=2))
-    assert not partial.complete
-    cache.put(partial)
-    complete = factorize(n, SearchBudget(trial_division_bound=10, rho_iteration_cap=10**7))
-    assert complete.complete
-    cache.put(complete)
-    assert cache.get(n) == complete
-    # a later partial must never displace the complete entry
-    cache.put(partial)
-    assert cache.get(n) == complete
-    reloaded = FactorCache(path)
-    assert reloaded.get(n) == complete
-
-
-def test_cache_skips_corrupt_lines(tmp_path):
-    path = tmp_path / "factors.cache"
-    good = factorize(3783)
-    path.write_text(
-        "not a record at all\n"
-        "12 complete 2^2 5^1 1\n"  # product mismatch
-        + good.to_line()
-        + "\n"
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cache = FactorCache(path)
-    assert len(caught) == 2
-    assert cache.get(3783) == good
-    assert len(cache) == 1
-
-
-def test_cache_skips_huge_exponent_promptly(tmp_path):
-    # 5^(10^12) would need about 290 GB to compute; the line must be
-    # refused from its exponent alone, with a warning that does not print it
-    path = tmp_path / "factors.cache"
-    good = factorize(3783)
-    path.write_text("10 complete 5^1000000000000 1\n" + good.to_line() + "\n")
+def test_cache_skips_huge_exponent_promptly():
+    # 5^(10^12) would need about 290 GB to compute: check must refuse the
+    # record from its exponent alone, with a message that does not print it
+    bad = Factorization(10, (PrimePower(5, 10**12),), 1, "complete")
     start = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cache = FactorCache(path)
+    with pytest.raises(ValueError, match="too large") as caught:
+        bad.check()
     assert time.perf_counter() - start < 5
-    assert len(caught) == 1
-    assert "too large" in str(caught[0].message)
-    assert cache.get(3783) == good
-    assert len(cache) == 1
+    assert len(str(caught.value)) < 100
 
 
-def test_cache_used_by_factorize(tmp_path):
-    path = tmp_path / "factors.cache"
-    cache = FactorCache(path)
-    record = factorize(32943, cache=cache)
-    assert cache.get(32943) == record
-    again = factorize(32943, cache=cache)
-    assert again == record
-
-
-def test_cached_record_stays_with_its_cache(tmp_path, tiny_budget):
-    # a complete record served from a cache must not change what a later
-    # call without that cache computes under the same budget
+def test_cached_record_stays_with_its_cache(tiny_budget):
+    # no record is kept between calls: a complete factorization under the
+    # default budget must not change what a later call computes under a
+    # budget too small to finish it
     n = 1000000007 * 998244353
-    cache = FactorCache(tmp_path / "factors.cache")
-    cache.put(factorize(n))
-    assert factorize(n, tiny_budget, cache).complete
+    assert factorize(n).complete
     assert factorize(n, tiny_budget).status == "exhausted"
+
+
+def test_rho_cap_is_checked_per_doubling_round():
+    # Brent's rho checks its cap only after a whole doubling round, so a
+    # failing attempt spends the smallest 2^j - 2 >= cap iterations
+    n = (2**61 - 1) * (2**89 - 1)
+    assert _brent(n, 1, 10) == (None, 14)
+    assert _brent(n, 1, 1000) == (None, 1022)
+    assert _brent(n, 1, 4096) == (None, 8190)
+    cap = DEFAULT_BUDGET.rho_iteration_cap
+    assert min(2**j - 2 for j in range(64) if 2**j - 2 >= cap) == 2**24 - 2 == 16_777_214

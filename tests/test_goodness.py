@@ -190,6 +190,17 @@ def test_certificate_rejects_non_ascii_digits():
         GoodnessCertificate.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("root", 31), ("terminal_residue", True), ("root", "031"), ("terminal", "-0")]
+)
+def test_certificate_rejects_non_canonical_integers(field, value):
+    # every integer of the format is a canonical decimal string
+    data = is_good(31).certificate.to_dict()
+    data[field] = value
+    with pytest.raises(ValueError):
+        GoodnessCertificate.from_dict(data)
+
+
 def test_is_good_31():
     result = is_good(31)
     assert result.good
