@@ -11,7 +11,6 @@ bound a strong base-2 test combined with a strong Lucas test is used;
 boolean.
 """
 
-import bisect
 import math
 from functools import lru_cache
 
@@ -28,24 +27,17 @@ COMPOSITE = "composite"
 PRIME = "prime"
 PROBABLE_PRIME = "probable_prime"
 
-_prime_list: list[int] = []
-_prime_list_bound = 0
-
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n in ascending order, as a fresh list (the sieve is cached, grow-only)."""
-    global _prime_list, _prime_list_bound
+    """All primes <= n in ascending order, sieved afresh on every call."""
     if n < 2:
         return []
-    if n > _prime_list_bound:
-        sieve = np.ones(n + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(n) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _prime_list = [int(p) for p in np.nonzero(sieve)[0]]
-        _prime_list_bound = n
-    return _prime_list[: bisect.bisect_right(_prime_list, n)]
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return [int(p) for p in np.nonzero(sieve)[0]]
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:

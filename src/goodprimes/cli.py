@@ -2,20 +2,20 @@
 
 One binary, subcommand style.  Exit codes: 0 success / assertions hold,
 1 assertion failure (counterexample, not-good verdict, failed
-verification), 2 usage error (also an unusable -o path),
-3 budget or resource exhaustion with an inconclusive result.
+verification), 2 usage error, 3 budget or resource exhaustion with an
+inconclusive result.
 
-Global flags may also be set through environment variables prefixed
-GOODPRIMES_ (GOODPRIMES_DEPTH, GOODPRIMES_TRIAL_BOUND, GOODPRIMES_RHO_CAP,
-GOODPRIMES_MAX_BITS, GOODPRIMES_FORMAT); a flag on the command line wins
-over its environment variable.
+The front end checks no argument itself: the library function that owns
+a rule raises ValueError, and any ValueError or OSError (an unusable -o
+path) becomes exit 2 with one `goodprimes: error:` line on stderr.  The
+five global flags are the only settings; the environment configures
+nothing.
 
 In --format json every result is one canonical JSON record per line, so
 long scans stream and identical inputs produce byte-identical output.
 """
 
 import argparse
-import os
 import sys
 
 from . import arith
@@ -48,28 +48,23 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_ENV_PREFIX = "GOODPRIMES_"
-
-
-def _env(name: str, default=None):
-    return os.environ.get(_ENV_PREFIX + name, default)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goodprimes",
         description="Good-prime chain search, divisor-sum oracles, and perfect-number scans.",
     )
-    parser.add_argument("--depth", type=int, default=_env("DEPTH"), help="closure depth limit")
-    parser.add_argument("--trial-bound", type=int, default=_env("TRIAL_BOUND"), help="trial division bound")
-    parser.add_argument("--rho-cap", type=int, default=_env("RHO_CAP"), help="rho iterations per composite")
-    parser.add_argument("--max-bits", type=int, default=_env("MAX_BITS"), help="bit cap on rho candidates")
+    parser.add_argument("--depth", type=int, default=DEFAULT_BUDGET.max_depth, help="closure depth limit")
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=_env("FORMAT", "text"),
-        help="output format (default text)",
+        "--trial-bound", type=int, default=DEFAULT_BUDGET.trial_division_bound, help="trial division bound"
     )
+    parser.add_argument(
+        "--rho-cap", type=int, default=DEFAULT_BUDGET.rho_iteration_cap, help="rho iterations per composite"
+    )
+    parser.add_argument(
+        "--max-bits", type=int, default=DEFAULT_BUDGET.max_candidate_bits, help="bit cap on rho candidates"
+    )
+    parser.add_argument("--format", choices=("text", "json"), default="text", help="output format (default text)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     cmd = sub.add_parser("good", help="goodness verdict for a prime > 7")
@@ -100,37 +95,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget_from(args) -> SearchBudget:
-    return SearchBudget(
-        trial_division_bound=(
-            int(args.trial_bound) if args.trial_bound is not None else DEFAULT_BUDGET.trial_division_bound
-        ),
-        rho_iteration_cap=int(args.rho_cap) if args.rho_cap is not None else DEFAULT_BUDGET.rho_iteration_cap,
-        max_candidate_bits=int(args.max_bits) if args.max_bits is not None else DEFAULT_BUDGET.max_candidate_bits,
-        max_depth=int(args.depth) if args.depth is not None else DEFAULT_BUDGET.max_depth,
-    )
-
-
 def _usage_error(message: str) -> int:
     print(f"goodprimes: error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _check_root(p: int) -> str | None:
-    if p <= 7:
-        return f"{p} is not a prime greater than 7"
-    if not arith.is_prime(p):
-        return f"{p} is not prime"
-    return None
 
 
 _VERDICT_EXIT = {GOOD: EXIT_OK, NOT_GOOD: EXIT_FAIL, INCONCLUSIVE: EXIT_BUDGET}
 
 
 def _cmd_good(args, budget) -> int:
-    problem = _check_root(args.prime)
-    if problem:
-        return _usage_error(problem)
     result = is_good(args.prime, budget)
     if args.format == "json":
         record = {
@@ -146,9 +119,6 @@ def _cmd_good(args, budget) -> int:
 
 
 def _cmd_cert(args, budget) -> int:
-    problem = _check_root(args.prime)
-    if problem:
-        return _usage_error(problem)
     result = is_good(args.prime, budget)
     if result.verdict != GOOD:
         print(f"no certificate: {args.prime} is {result.verdict}", file=sys.stderr)
@@ -162,7 +132,7 @@ def _cmd_cert(args, budget) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, budget) -> int:
     try:
         if args.file == "-":
             text = sys.stdin.read()
@@ -181,8 +151,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args, budget) -> int:
-    if args.limit < 11:
-        return _usage_error(f"sweep limit must be at least 11, got {args.limit}")
     report = goodness_sweep(args.limit, budget)
     if args.format == "json":
         sys.stdout.write(report.to_json_lines())
@@ -233,11 +201,8 @@ def _cmd_scan(args, budget) -> int:
     return EXIT_OK if report.clean else EXIT_FAIL
 
 
-def _cmd_oracle(args) -> int:
-    try:
-        witness = sigma_exact_power(args.q, args.b, args.p, args.c)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+def _cmd_oracle(args, budget) -> int:
+    witness = sigma_exact_power(args.q, args.b, args.p, args.c)
     if args.format == "json":
         record = {
             "q": dec(witness.q),
@@ -260,8 +225,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_factor(args, budget) -> int:
-    if args.n < 2:
-        return _usage_error(f"factor needs n >= 2, got {args.n}")
     result = factorize(args.n, budget)
     # primality beyond the deterministic witness range is high-confidence
     # (strong base-2 + strong Lucas), and says so
@@ -283,6 +246,17 @@ def _cmd_factor(args, budget) -> int:
     return EXIT_OK if result.complete else EXIT_BUDGET
 
 
+_COMMANDS = {
+    "good": _cmd_good,
+    "cert": _cmd_cert,
+    "verify": _cmd_verify,
+    "sweep": _cmd_sweep,
+    "scan": _cmd_scan,
+    "oracle": _cmd_oracle,
+    "factor": _cmd_factor,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -290,30 +264,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.format not in ("text", "json"):
-            raise ValueError(f"--format must be text or json, got {args.format!r}")
-        budget = _budget_from(args)
-    except ValueError as exc:
+        budget = SearchBudget(args.trial_bound, args.rho_cap, args.max_bits, args.depth)
+        return _COMMANDS[args.command](args, budget)
+    except (ValueError, OSError) as exc:
+        # the library raises ValueError only for arguments outside their
+        # domain; an unusable -o path is a usage error, not a failed assertion
         return _usage_error(str(exc))
-    try:
-        if args.command == "good":
-            return _cmd_good(args, budget)
-        if args.command == "cert":
-            return _cmd_cert(args, budget)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args, budget)
-        if args.command == "scan":
-            return _cmd_scan(args, budget)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "factor":
-            return _cmd_factor(args, budget)
-    except OSError as exc:
-        # an unusable -o path is a usage error, not a failed assertion
-        return _usage_error(str(exc))
-    return _usage_error(f"unknown command {args.command!r}")
 
 
 def run() -> None:

@@ -113,9 +113,9 @@ class ClosureState:
 
 def initial_state(p: int) -> ClosureState:
     if p <= 7:
-        raise ValueError(f"closure roots must be primes > 7, got {p}")
+        raise ValueError(f"{p} is not a prime greater than 7")
     if not arith.is_prime(p):
-        raise ValueError(f"closure roots must be prime, got {p}")
+        raise ValueError(f"{p} is not prime")
     return ClosureState(root=p, depth=0, parents={p: None}, frontier=(p,))
 
 

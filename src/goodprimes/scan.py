@@ -21,14 +21,12 @@ The cyclotomic scan additionally annotates every candidate with whether
 one of its qi primes is good, and whether one is at most 157.
 
 Reports serialize to canonical JSON with all integers as decimal
-strings; the elapsed-time field is deliberately excluded from the
-serialized form so identical scans produce byte-identical output.
+strings and no timings, so identical scans produce byte-identical output.
 """
 
 import json
 import math
 import random
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +80,6 @@ class ScanReport:
     candidates_checked: int
     counterexamples: tuple[CandidateRecord, ...]
     perfect_found: tuple[int, ...]
-    elapsed: float
     notes: tuple[tuple[str, str], ...] = field(default=())
 
     @property
@@ -90,8 +87,6 @@ class ScanReport:
         return not self.counterexamples
 
     def to_dict(self) -> dict:
-        # elapsed is intentionally not serialized: reports must be
-        # byte-identical across reruns
         return {
             "form": self.form,
             "bound": dec(self.bound),
@@ -113,7 +108,6 @@ class ScanReport:
             candidates_checked=undec(data["candidates_checked"]),
             counterexamples=tuple(CandidateRecord.from_dict(d) for d in data["counterexamples"]),
             perfect_found=tuple(undec(v) for v in data["perfect_found"]),
-            elapsed=0.0,
             notes=tuple(sorted(data["notes"].items())),
         )
 
@@ -148,7 +142,6 @@ def sieve_sigma(bound: int) -> np.ndarray:
 
 def scan_odd_perfect(bound: int) -> ScanReport:
     """Confirm no odd n <= bound is perfect; list the even perfect numbers."""
-    start = time.perf_counter()
     sig = sieve_sigma(bound)
     values = np.arange(bound + 1, dtype=np.int64)
     mask = sig == 2 * values
@@ -161,13 +154,11 @@ def scan_odd_perfect(bound: int) -> ScanReport:
         candidates_checked=(bound + 1) // 2,
         counterexamples=tuple(_audit_record(v) for v in odd_hits),
         perfect_found=tuple(v for v in hits if v % 2 == 0),
-        elapsed=time.perf_counter() - start,
     )
 
 
 def scan_105(bound: int) -> ScanReport:
     """Confirm no odd multiple of 105 = 3*5*7 up to bound is perfect."""
-    start = time.perf_counter()
     sig = sieve_sigma(bound)
     multiples = np.arange(105, bound + 1, 210, dtype=np.int64)
     bad = [int(v) for v in multiples[sig[multiples] == 2 * multiples]]
@@ -177,7 +168,6 @@ def scan_105(bound: int) -> ScanReport:
         candidates_checked=len(multiples),
         counterexamples=tuple(_audit_record(v) for v in bad),
         perfect_found=(),
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -266,7 +256,6 @@ def scan_squarefree_form(bound: int) -> ScanReport:
     constructed factorization.
     """
     _check_form_bound(bound)
-    start = time.perf_counter()
     pool = [p for p in arith.primes_up_to(math.isqrt(bound // 5)) if p not in (2, 5)]
     top = bound.bit_length()  # 5^alpha <= bound needs alpha < top, likewise 9^beta
     roots = [
@@ -282,7 +271,6 @@ def scan_squarefree_form(bound: int) -> ScanReport:
         candidates_checked=checked,
         counterexamples=tuple(perfect),
         perfect_found=(),
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -302,7 +290,6 @@ def scan_cyclotomic_form(
     is defined for primes > 7 only, so it never counts as good.
     """
     _check_form_bound(bound)
-    start = time.perf_counter()
     pool = [p for p in arith.primes_up_to(math.isqrt(bound // 45)) if p > 5]
     top = bound.bit_length()  # x^e <= bound needs e < top for every x >= 2
     exponents = range(2, top, 6)
@@ -335,6 +322,5 @@ def scan_cyclotomic_form(
         candidates_checked=checked,
         counterexamples=tuple(perfect),
         perfect_found=(),
-        elapsed=time.perf_counter() - start,
         notes=tuple(notes),
     )

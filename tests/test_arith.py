@@ -3,7 +3,6 @@ import math
 import pytest
 import sympy
 
-from goodprimes import arith
 from goodprimes.arith import (
     cyclotomic_value,
     is_prime,
@@ -64,10 +63,7 @@ def test_primes_up_to_matches_sympy():
     assert primes_up_to(2) == [2]
 
 
-def test_primes_up_to_returns_a_fresh_list(monkeypatch):
-    # start from an empty sieve so the call below is the largest bound seen
-    monkeypatch.setattr(arith, "_prime_list", [])
-    monkeypatch.setattr(arith, "_prime_list_bound", 0)
+def test_primes_up_to_returns_a_fresh_list():
     primes_up_to(1000).append(4)
     assert primes_up_to(1000) == list(sympy.primerange(2, 1001))
 

@@ -1,12 +1,13 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from goodprimes.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from goodprimes.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _build_parser, main
 from goodprimes.goodness import goodness_sweep
 from goodprimes.scan import scan_cyclotomic_form
 
@@ -184,11 +185,12 @@ def test_cache_flag_is_usage_error():
     assert main(["--cache", "x", "factor", "12"]) == EXIT_USAGE
 
 
-def test_env_overrides(capsys, monkeypatch):
+def test_environment_does_not_configure_the_cli(capsys, monkeypatch):
+    # the five flags are the only settings; the CLI reads no environment variable
     monkeypatch.setenv("GOODPRIMES_FORMAT", "json")
-    code, out, _ = run_cli(capsys, "factor", "9507")
+    code, out, _ = run_cli(capsys, "good", "31")
     assert code == EXIT_OK
-    assert json.loads(out)["status"] == "complete"
+    assert out == "good depth=1\n"
 
 
 def test_fresh_process_sweep_matches_warm_library():
@@ -216,19 +218,44 @@ def test_usage_error_exit_code(capsys):
     assert main(["scan", "bogus", "100"]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
+    assert main(["--format", "yaml", "good", "31"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "scan odd 0",
+        "scan 105 0",
+        "scan squarefree 0",
+        "scan cyclotomic 0",
+        "sweep 5",
+        "factor 1",
+        "good 7",
+        "cert 15",
+        "oracle 4 1 7 3",
+        "--depth 0 good 31",
+    ],
+)
+def test_out_of_domain_argument_is_usage_error(capsys, command):
+    # the library owns each argument rule; the front end only reports it
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("goodprimes: error: ") and err.count("\n") == 1
+
+
+def test_readme_cli_examples_parse():
+    readme = (ROOT / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("goodprimes ")]
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])  # exits on a stale example
 
 
 def test_zero_budget_flags_are_usage_errors(capsys):
     assert main(["--depth", "0", "good", "31"]) == EXIT_USAGE
     assert main(["--trial-bound", "0", "factor", "12"]) == EXIT_USAGE
-
-
-def test_env_numeric_coercion(capsys, monkeypatch):
-    monkeypatch.setenv("GOODPRIMES_DEPTH", "4")
-    monkeypatch.setenv("GOODPRIMES_RHO_CAP", "100000")
-    assert main(["good", "31"]) == EXIT_OK
-    monkeypatch.setenv("GOODPRIMES_FORMAT", "bogus")
-    assert main(["good", "31"]) == EXIT_USAGE
 
 
 def test_factor_primality_confidence_flag(capsys):
