@@ -12,8 +12,6 @@ special multiplicative forms for perfect numbers.
 from .arith import (
     cyclotomic_value,
     is_prime,
-    multiplicative_order,
-    order_valuation,
     primality,
     primes_up_to,
     sigma,
@@ -24,7 +22,6 @@ from .enclosure import log_enclosure
 from .factor import (
     DEFAULT_BUDGET,
     Factorization,
-    PrimePower,
     SearchBudget,
     factorize,
 )
@@ -49,7 +46,9 @@ from .oracles import (
     cyclotomic_divides_sigma,
     forced_good_divisor,
     forced_prime_count,
+    multiplicative_order,
     omega_upper_bound,
+    order_valuation,
     sigma_coprime_to_five,
     sigma_exact_power,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "Factorization",
     "GoodnessCertificate",
     "GoodnessResult",
-    "PrimePower",
     "ScanReport",
     "SearchBudget",
     "SweepReport",

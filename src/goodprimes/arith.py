@@ -1,20 +1,26 @@
 """Exact number-theoretic primitives on plain Python integers.
 
 Everything here is exact at arbitrary precision: cyclotomic values,
-divisor sums of prime powers, multiplicative orders, p-adic valuations,
-and primality testing.  No floats enter any computation.
+divisor sums of prime powers and of factorizations given as
+(prime, exponent) pairs, p-adic valuations, and primality testing.  No
+floats enter any computation.  The module imports nothing from the rest
+of the package.
 
 Primality is deterministic (fixed strong-pseudoprime witness set) for
 n below ~3.3e24, which comfortably covers 64-bit inputs.  Above that
 bound a strong base-2 test combined with a strong Lucas test is used;
 `primality` exposes the confidence level, `is_prime` collapses it to a
-boolean.
+boolean.  Every sieve is bounded by `SIEVE_BOUND_LIMIT` (1e8): a larger
+one raises `ResourceLimitError` before anything is allocated.
 """
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
+
+SIEVE_BOUND_LIMIT = 10**8
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
@@ -28,8 +34,17 @@ PRIME = "prime"
 PROBABLE_PRIME = "probable_prime"
 
 
+class ResourceLimitError(RuntimeError):
+    """A bound exceeds the documented memory/effort limits."""
+
+
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n in ascending order, sieved afresh on every call."""
+    """All primes <= n in ascending order, sieved afresh on every call.
+
+    n above `SIEVE_BOUND_LIMIT` raises ResourceLimitError.
+    """
+    if n > SIEVE_BOUND_LIMIT:
+        raise ResourceLimitError(f"sieve bound {n} exceeds limit {SIEVE_BOUND_LIMIT}")
     if n < 2:
         return []
     sieve = np.ones(n + 1, dtype=bool)
@@ -217,23 +232,16 @@ def sigma_prime_power(p: int, c: int) -> int:
     return (p ** (c + 1) - 1) // (p - 1)
 
 
-def sigma(n: int, factorization) -> int:
-    """Divisor sum of n from a complete factorization.
+def sigma(n: int, pairs) -> int:
+    """Divisor sum of n from its complete factorization.
 
-    `factorization` is either a factor.Factorization or an iterable of
-    (prime, exponent) pairs.  Incomplete or inconsistent factorizations
-    are rejected.
+    `pairs` are (prime, exponent) integers, such as `factorize(n).factors`.
+    Non-integers, and pairs that are not a factorization of n (a missing
+    cofactor, a composite, a repeated prime), are rejected.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if hasattr(factorization, "factors"):
-        if not factorization.complete:
-            raise ValueError(f"factorization of {n} is {factorization.status}, not complete")
-        if factorization.target != n:
-            raise ValueError(f"factorization targets {factorization.target}, not {n}")
-        pairs = [(pp.prime, pp.exponent) for pp in factorization.factors]
-    else:
-        pairs = [(int(p), int(e)) for p, e in factorization]
+    pairs = [(operator.index(p), operator.index(e)) for p, e in pairs]
     product = 1
     seen = set()
     result = 1
@@ -248,43 +256,3 @@ def sigma(n: int, factorization) -> int:
     if product != n:
         raise ValueError(f"factors multiply to {product}, not {n}")
     return result
-
-
-def multiplicative_order(p: int, q: int) -> int:
-    """Smallest d >= 1 with p**d = 1 (mod q), for distinct primes, q odd.
-
-    Found by factoring q - 1 and descending through its divisors, so the
-    result is exact.  The returned d always divides q - 1.
-    """
-    _check_order_args(p, q)
-    from .factor import DEFAULT_BUDGET, factorize
-
-    grp = factorize(q - 1, DEFAULT_BUDGET)
-    if not grp.complete:
-        raise ValueError(f"cannot certify order: {q - 1} did not factor completely")
-    d = q - 1
-    for pp in grp.factors:
-        for _ in range(pp.exponent):
-            if pow(p, d // pp.prime, q) == 1:
-                d //= pp.prime
-            else:
-                break
-    return d
-
-
-def order_valuation(p: int, q: int) -> int:
-    """The e >= 1 with q**e exactly dividing p**d - 1, d the order of p mod q."""
-    d = multiplicative_order(p, q)
-    e = 1
-    while pow(p, d, q ** (e + 1)) == 1:
-        e += 1
-    return e
-
-
-def _check_order_args(p: int, q: int) -> None:
-    if not is_prime(q) or q == 2:
-        raise ValueError(f"modulus must be an odd prime, got {q}")
-    if not is_prime(p):
-        raise ValueError(f"base must be prime, got {p}")
-    if p == q:
-        raise ValueError(f"base and modulus must be distinct, both are {p}")

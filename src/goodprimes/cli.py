@@ -3,7 +3,7 @@
 One binary, subcommand style.  Exit codes: 0 success / assertions hold,
 1 assertion failure (counterexample, not-good verdict, failed
 verification), 2 usage error, 3 budget or resource exhaustion with an
-inconclusive result.
+inconclusive result; any command whose sieve would pass 1e8 exits 3.
 
 The front end checks no argument itself: the library function that owns
 a rule raises ValueError, and any ValueError or OSError (an unusable -o
@@ -19,6 +19,7 @@ import argparse
 import sys
 
 from . import arith
+from .arith import ResourceLimitError
 from .factor import DEFAULT_BUDGET, SearchBudget, factorize
 from .goodness import (
     GOOD,
@@ -36,7 +37,6 @@ from .scan import (
     FORM_CYCLOTOMIC,
     FORM_ODD,
     FORM_SQUAREFREE,
-    ResourceLimitError,
     scan_105,
     scan_cyclotomic_form,
     scan_odd_perfect,
@@ -173,18 +173,14 @@ def _cmd_sweep(args, budget) -> int:
 
 
 def _cmd_scan(args, budget) -> int:
-    try:
-        if args.form == FORM_ODD:
-            report = scan_odd_perfect(args.bound)
-        elif args.form == FORM_105:
-            report = scan_105(args.bound)
-        elif args.form == FORM_SQUAREFREE:
-            report = scan_squarefree_form(args.bound)
-        else:
-            report = scan_cyclotomic_form(args.bound, budget)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    if args.form == FORM_ODD:
+        report = scan_odd_perfect(args.bound)
+    elif args.form == FORM_105:
+        report = scan_105(args.bound)
+    elif args.form == FORM_SQUAREFREE:
+        report = scan_squarefree_form(args.bound)
+    else:
+        report = scan_cyclotomic_form(args.bound, budget)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -229,13 +225,13 @@ def _cmd_factor(args, budget) -> int:
     # primality beyond the deterministic witness range is high-confidence
     # (strong base-2 + strong Lucas), and says so
     confidence = "proven"
-    if any(arith.primality(pp.prime) == "probable_prime" for pp in result.factors):
+    if any(arith.primality(p) == "probable_prime" for p, _ in result.factors):
         confidence = "probable"
     if args.format == "json":
         record = {
             "target": dec(result.target),
             "status": result.status,
-            "factors": [[dec(pp.prime), dec(pp.exponent)] for pp in result.factors],
+            "factors": [[dec(p), dec(e)] for p, e in result.factors],
             "cofactor": dec(result.cofactor),
             "primality": confidence,
         }
@@ -266,6 +262,9 @@ def main(argv=None) -> int:
     try:
         budget = SearchBudget(args.trial_bound, args.rho_cap, args.max_bits, args.depth)
         return _COMMANDS[args.command](args, budget)
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         # the library raises ValueError only for arguments outside their
         # domain; an unusable -o path is a usage error, not a failed assertion

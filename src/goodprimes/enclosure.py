@@ -45,11 +45,12 @@ def _log2_enclosure(width: Fraction) -> tuple[Fraction, Fraction]:
 def log_enclosure(x, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
     """Certified (lower, upper) rational bounds on ln(x), x >= 1 rational.
 
-    The interval width is at most `width` (default 1e-12).
+    The interval width is at most `width` (default 1e-12), which must be
+    positive: the series tail never reaches 0.
     """
     x = Fraction(x)
-    if x < 1:
-        raise ValueError(f"log_enclosure needs x >= 1, got {x}")
+    if x < 1 or width <= 0:
+        raise ValueError(f"log_enclosure needs x >= 1 and width > 0, got {x}, {width}")
     if x == 1:
         return Fraction(0), Fraction(0)
     # x = 2^k * r with r in [1, 2)

@@ -6,10 +6,12 @@ left.  Rho uses the fixed constant schedule c = 1, 2, 3, ..., and no
 result is stored between calls, so `factorize` is a pure function of
 (n, budget).
 
-Partial results are first-class: when a budget runs out the unfinished
-composite part is reported as a cofactor and the status says why the
-factorization stopped.  Callers that only need *some* prime divisors can
-use what was found; callers that need completeness check `status`.
+Factors are (prime, exponent) int pairs in ascending prime order, the
+shape `arith.sigma` takes.  Partial results are first-class: when a
+budget runs out the unfinished composite part is reported as a cofactor
+and the status says why the factorization stopped.  Callers that only
+need *some* prime divisors can use what was found; callers that need
+completeness check `status`.
 """
 
 import functools
@@ -24,15 +26,6 @@ STATUS_EXHAUSTED = "exhausted"
 _STATUSES = (STATUS_COMPLETE, STATUS_PARTIAL, STATUS_EXHAUSTED)
 
 _RHO_BATCH = 128
-
-
-@dataclass(frozen=True)
-class PrimePower:
-    prime: int
-    exponent: int
-
-    def __str__(self) -> str:
-        return f"{self.prime}^{self.exponent}"
 
 
 @dataclass(frozen=True)
@@ -64,10 +57,10 @@ DEFAULT_BUDGET = SearchBudget()
 
 @dataclass(frozen=True)
 class Factorization:
-    """target = product(prime**exponent) * cofactor, cofactor 1 iff complete."""
+    """target = product(p**e for p, e in factors) * cofactor, cofactor 1 iff complete."""
 
     target: int
-    factors: tuple[PrimePower, ...]
+    factors: tuple[tuple[int, int], ...]
     cofactor: int
     status: str
 
@@ -77,10 +70,7 @@ class Factorization:
 
     @property
     def prime_divisors(self) -> frozenset[int]:
-        return frozenset(pp.prime for pp in self.factors)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(pp.prime, pp.exponent) for pp in self.factors]
+        return frozenset(p for p, _ in self.factors)
 
     def check(self) -> None:
         """Re-verify all structural invariants; raises ValueError on breach."""
@@ -90,25 +80,25 @@ class Factorization:
             raise ValueError("status/cofactor mismatch")
         product = self.cofactor
         last = 0
-        for pp in self.factors:
-            if pp.exponent < 1:
-                raise ValueError(f"exponent < 1 on {pp}")
-            # then prime**exponent > target: refuse before computing it
-            if pp.exponent >= self.target.bit_length():
-                raise ValueError(f"exponent of {pp} too large for {self.target}")
-            if pp.prime <= last:
+        for p, e in self.factors:
+            if e < 1:
+                raise ValueError(f"exponent < 1 on {p}^{e}")
+            # then p**e > target: refuse before computing it
+            if e >= self.target.bit_length():
+                raise ValueError(f"exponent of {p}^{e} too large for {self.target}")
+            if p <= last:
                 raise ValueError("factors not sorted by prime")
-            last = pp.prime
-            if not arith.is_prime(pp.prime):
-                raise ValueError(f"{pp.prime} is not prime")
-            product *= pp.prime**pp.exponent
+            last = p
+            if not arith.is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            product *= p**e
         if product != self.target:
             raise ValueError(f"factors do not reconstruct {self.target}")
         if self.cofactor > 1 and arith.is_prime(self.cofactor):
             raise ValueError(f"cofactor {self.cofactor} is prime, should be a factor")
 
     def to_line(self) -> str:
-        mid = " ".join(str(pp) for pp in self.factors)
+        mid = " ".join(f"{p}^{e}" for p, e in self.factors)
         mid = f" {mid}" if mid else ""
         return f"{self.target} {self.status}{mid} {self.cofactor}"
 
@@ -244,7 +234,7 @@ def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
         status = STATUS_PARTIAL
     return Factorization(
         target=n,
-        factors=tuple(PrimePower(p, e) for p, e in sorted(counts.items())),
+        factors=tuple(sorted(counts.items())),
         cofactor=cofactor,
         status=status,
     )

@@ -8,9 +8,12 @@ power q^b exactly divides sigma(p^c):
                       b = a + v_q(c + 1), where d is the order of p
                       mod q and a the exact power of q in p^d - 1.
 
-`sigma_exact_power` evaluates the criterion and, whenever the numbers
-are small enough to afford it, also computes the valuation directly and
-cross-checks the two routes, returning a witness that carries both.
+The order machinery lives here: `multiplicative_order` and
+`order_valuation` compute d and a exactly from a complete factorization
+of q - 1.  `sigma_exact_power` evaluates the criterion and, whenever the
+numbers are small enough to afford it, also computes the valuation
+directly and cross-checks the two routes, returning a witness that
+carries both.
 
 The remaining functions are small numeric facts used by the
 non-existence arguments for special multiplicative forms: the bound on
@@ -23,15 +26,9 @@ forced good divisors 31 and 13.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (
-    cyclotomic_value,
-    is_prime,
-    multiplicative_order,
-    order_valuation,
-    sigma_prime_power,
-    valuation,
-)
+from .arith import cyclotomic_value, is_prime, sigma_prime_power, valuation
 from .enclosure import DEFAULT_WIDTH, log_enclosure
+from .factor import factorize
 
 # direct sigma cross-check is skipped above this many digits of sigma(p^c)
 _CROSSCHECK_DIGIT_LIMIT = 10**6
@@ -52,6 +49,44 @@ class DivisibilityWitness:
     d: int  # order of p modulo q
     a: int  # exact power of q in p^d - 1
     holds: bool
+
+
+def multiplicative_order(p: int, q: int) -> int:
+    """Smallest d >= 1 with p**d = 1 (mod q), for distinct primes, q odd.
+
+    Found by factoring q - 1 and descending through its divisors, so the
+    result is exact.  The returned d always divides q - 1.
+    """
+    _check_order_args(p, q)
+    grp = factorize(q - 1)
+    if not grp.complete:
+        raise ValueError(f"cannot certify order: {q - 1} did not factor completely")
+    d = q - 1
+    for prime, exponent in grp.factors:
+        for _ in range(exponent):
+            if pow(p, d // prime, q) == 1:
+                d //= prime
+            else:
+                break
+    return d
+
+
+def order_valuation(p: int, q: int) -> int:
+    """The e >= 1 with q**e exactly dividing p**d - 1, d the order of p mod q."""
+    d = multiplicative_order(p, q)
+    e = 1
+    while pow(p, d, q ** (e + 1)) == 1:
+        e += 1
+    return e
+
+
+def _check_order_args(p: int, q: int) -> None:
+    if not is_prime(q) or q == 2:
+        raise ValueError(f"modulus must be an odd prime, got {q}")
+    if not is_prime(p):
+        raise ValueError(f"base must be prime, got {p}")
+    if p == q:
+        raise ValueError(f"base and modulus must be distinct, both are {p}")
 
 
 def sigma_exact_power(q: int, b: int, p: int, c: int) -> DivisibilityWitness:

@@ -32,21 +32,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
+from .arith import SIEVE_BOUND_LIMIT, ResourceLimitError
 from .factor import DEFAULT_BUDGET, SearchBudget, factorize
 from .goodness import GOOD, INCONCLUSIVE, is_good
 from .jsonio import canonical_dumps, dec, undec
 
-SIEVE_BOUND_LIMIT = 10**8
 FORM_BOUND_LIMIT = 10**12
 
 FORM_ODD = "odd"
 FORM_SQUAREFREE = "squarefree"
 FORM_CYCLOTOMIC = "cyclotomic"
 FORM_105 = "105"
-
-
-class ResourceLimitError(RuntimeError):
-    """A scan bound exceeds the documented memory/effort limits."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ def sieve_sigma(bound: int) -> np.ndarray:
     rng = random.Random(0xD1715 ^ bound)
     for _ in range(min(1000, bound)):
         n = rng.randint(1, bound)
-        expected = 1 if n == 1 else arith.sigma(n, factorize(n))
+        expected = 1 if n == 1 else arith.sigma(n, factorize(n).factors)
         if int(sig[n]) != expected:
             raise AssertionError(f"sieve disagrees with multiplicative sigma at n={n}")
     return sig
@@ -172,8 +168,8 @@ def scan_105(bound: int) -> ScanReport:
 
 
 def _audit_record(n: int) -> CandidateRecord:
-    result = factorize(n)
-    return CandidateRecord(n, tuple(result.pairs()), arith.sigma(n, result))
+    factors = factorize(n).factors
+    return CandidateRecord(n, factors, arith.sigma(n, factors))
 
 
 def matches_squarefree_form(pairs) -> bool:

@@ -1,19 +1,25 @@
+import ast
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 
+from goodprimes import arith
 from goodprimes.arith import (
+    SIEVE_BOUND_LIMIT,
+    ResourceLimitError,
     cyclotomic_value,
     is_prime,
-    multiplicative_order,
-    order_valuation,
     primality,
     primes_up_to,
     sigma,
     sigma_prime_power,
     valuation,
 )
+from goodprimes.factor import SearchBudget, factorize
+from goodprimes.oracles import multiplicative_order, order_valuation
 
 # ---- independent oracles ----------------------------------------------------
 
@@ -66,6 +72,29 @@ def test_primes_up_to_matches_sympy():
 def test_primes_up_to_returns_a_fresh_list():
     primes_up_to(1000).append(4)
     assert primes_up_to(1000) == list(sympy.primerange(2, 1001))
+
+
+def test_primes_up_to_refuses_a_sieve_above_the_limit():
+    # refused before numpy allocates anything, so a huge bound is cheap
+    for n in (SIEVE_BOUND_LIMIT + 1, 10**11):
+        with pytest.raises(ResourceLimitError, match="exceeds limit"):
+            primes_up_to(n)
+
+
+def test_arith_imports_nothing_from_the_package():
+    # arith is the leaf layer: an import of factor (or any sibling) at any
+    # depth, even inside a function, would bring back an import cycle
+    tree = ast.parse(Path(arith.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import at line {node.lineno}"
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] != "goodprimes", f"{name} imported at line {node.lineno}"
 
 
 def test_is_prime_small_range_exhaustive():
@@ -208,12 +237,22 @@ def test_sigma_rejects_incomplete_or_wrong():
         sigma(12, [(2, 2)])  # product mismatch
     with pytest.raises(ValueError):
         sigma(12, [(4, 1), (3, 1)])  # not prime
-    from goodprimes.factor import SearchBudget, factorize
+    # a product of two Mersenne primes that rho cannot split within 10
+    # iterations: no factors, so the cofactor is missing from the product
+    result = factorize((2**61 - 1) * (2**89 - 1), SearchBudget(rho_iteration_cap=10))
+    assert result.status == "exhausted" and result.factors == ()
+    with pytest.raises(ValueError):
+        sigma(result.target, result.factors)
 
-    partial = factorize(10**19 + 51, SearchBudget(trial_division_bound=2, rho_iteration_cap=1))
-    if not partial.complete:
-        with pytest.raises(ValueError):
-            sigma(partial.target, partial)
+
+def test_sigma_rejects_non_integers():
+    with pytest.raises(TypeError):
+        sigma(6, [(2.5, 1), (3, 1)])
+    with pytest.raises(TypeError):
+        sigma(8, [(2, 3.9)])
+    # integer types other than int pass
+    assert sigma(8, [(np.int64(2), np.int64(3))]) == 15
+    assert sigma(6, [(sympy.Integer(2), sympy.Integer(1)), (3, 1)]) == 12
 
 
 # ---- multiplicative order ---------------------------------------------------

@@ -147,6 +147,19 @@ def test_scan_resource_exit(capsys):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--trial-bound", "100000001", "factor", "1000000000039"), ("sweep", "100000000000")],
+)
+def test_sieve_resource_exit_for_every_command(capsys, argv):
+    # the sieve behind trial division or a sweep is refused before numpy
+    # allocates it, with one line and no traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
 def test_scan_json_roundtrips_through_report(capsys):
     from goodprimes.scan import ScanReport
 

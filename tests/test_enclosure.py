@@ -47,6 +47,13 @@ def test_rejects_below_one():
         log_enclosure(0)
 
 
+def test_rejects_nonpositive_width():
+    # the series tail is always positive, so width <= 0 would never return
+    for width in (0, -1, Fraction(-1, 10**12)):
+        with pytest.raises(ValueError, match="width"):
+            log_enclosure(3, width)
+
+
 def test_additivity_cross_check():
     # ln(6) = ln(2) + ln(3) within combined widths
     lo6, hi6 = log_enclosure(6)

@@ -8,7 +8,6 @@ from goodprimes.arith import primes_up_to
 from goodprimes.factor import (
     DEFAULT_BUDGET,
     Factorization,
-    PrimePower,
     SearchBudget,
     _brent,
     factorize,
@@ -32,13 +31,13 @@ def factor_by_spf(n, spf):
         p = spf[n]
         counts[p] = counts.get(p, 0) + 1
         n //= p
-    return sorted(counts.items())
+    return tuple(sorted(counts.items()))
 
 
 def test_examples():
-    assert factorize(3783).pairs() == [(3, 1), (13, 1), (97, 1)]
-    assert factorize(32943).pairs() == [(3, 1), (79, 1), (139, 1)]
-    assert factorize(4).pairs() == [(2, 2)]
+    assert factorize(3783).factors == ((3, 1), (13, 1), (97, 1))
+    assert factorize(32943).factors == ((3, 1), (79, 1), (139, 1))
+    assert factorize(4).factors == ((2, 2),)
     assert factorize(4).complete
 
 
@@ -48,7 +47,7 @@ def test_agreement_with_trial_division_oracle():
     for n in range(2, limit):
         result = factorize(n)
         assert result.complete, n
-        assert result.pairs() == factor_by_spf(n, spf), n
+        assert result.factors == factor_by_spf(n, spf), n
 
 
 def test_reconstruction_random(rng):
@@ -57,7 +56,7 @@ def test_reconstruction_random(rng):
         result = factorize(n)
         assert result.complete, n
         product = 1
-        for p, e in result.pairs():
+        for p, e in result.factors:
             product *= p**e
         assert product == n
         result.check()
@@ -119,7 +118,7 @@ def test_monotonicity_in_budget():
 def test_factorize_matches_sympy_spot(rng):
     for _ in range(50):
         n = rng.randint(10**12, 10**15)
-        assert dict(factorize(n).pairs()) == sympy.factorint(n), n
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
 def test_rejects_small_n():
@@ -144,7 +143,7 @@ def test_factorization_check_catches_corruption():
     bad = Factorization(3784, good.factors, 1, "complete")
     with pytest.raises(ValueError):
         bad.check()
-    bad = Factorization(3783, (PrimePower(3, 1), PrimePower(1261, 1)), 1, "complete")
+    bad = Factorization(3783, ((3, 1), (1261, 1)), 1, "complete")
     with pytest.raises(ValueError):
         bad.check()
 
@@ -152,7 +151,7 @@ def test_factorization_check_catches_corruption():
 def test_cache_skips_huge_exponent_promptly():
     # 5^(10^12) would need about 290 GB to compute: check must refuse the
     # record from its exponent alone, with a message that does not print it
-    bad = Factorization(10, (PrimePower(5, 10**12),), 1, "complete")
+    bad = Factorization(10, ((5, 10**12),), 1, "complete")
     start = time.perf_counter()
     with pytest.raises(ValueError, match="too large") as caught:
         bad.check()

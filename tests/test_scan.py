@@ -207,4 +207,4 @@ def test_sieve_spot_check_against_factorizer(rng):
 
     for _ in range(1000):
         n = rng.randint(2, 10**5)
-        assert int(sig[n]) == sigma(n, factorize(n))
+        assert int(sig[n]) == sigma(n, factorize(n).factors)
