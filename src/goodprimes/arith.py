@@ -248,6 +248,9 @@ def sigma(n: int, pairs) -> int:
     for p, e in pairs:
         if e < 1 or not is_prime(p):
             raise ValueError(f"bad factor {p}^{e}")
+        # then p**e > n: refuse before computing it
+        if e >= n.bit_length():
+            raise ValueError(f"exponent of {p}^{e} too large for {n}")
         if p in seen:
             raise ValueError(f"repeated prime {p}")
         seen.add(p)

@@ -16,12 +16,14 @@ verdicts:
 
 Certificates are canonical: shortest depth first, then the
 lexicographically smallest prime path.  Each layer's new members are
-kept in that canonical-path order, so the search ranks no paths: the
-first goal prime met is the winner.  `verify_certificate` replays a
-certificate from scratch, without the factorizer, so a verified
-certificate stands on its own.
+kept in that canonical-path order, so the search ranks no paths: it
+stops at the first goal prime met, on a partial layer.  That order is
+the budget's, so a certificate is canonical relative to the budget, and
+without qualification when every step taken factored completely.
+`verify_certificate` replays a certificate from scratch, without the
+factorizer, so a verified certificate stands on its own.
 
-Two facts keep the closure clean, and are asserted on every expansion:
+Two facts keep the closure clean, and are asserted on each stepped layer:
 x^2 + x + 1 is always odd and never divisible by 5, so the primes 2 and
 5 can never enter a closure; 3 is excluded by the step definition.  A
 member equal to 7 can occur and simply stays inert (the step map is
@@ -29,7 +31,7 @@ defined for primes > 7 only).
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
 from . import arith
@@ -129,9 +131,16 @@ def expand(state: ClosureState, budget: SearchBudget = DEFAULT_BUDGET) -> Closur
     prime its canonical parent and lists the new frontier in canonical
     order again.
     """
+    return _step(state, budget)[0]
+
+
+def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[ClosureState, int | None]:
+    """`expand`, but stop at the first new child c with `stop(c, depth)`
+    and return it with the state, which then ends on a partial layer."""
     complete = state.complete
     parents = dict(state.parents)
     frontier: list[int] = []
+    hit = None
     for x in state.frontier:
         if x <= 7:
             continue
@@ -140,11 +149,16 @@ def expand(state: ClosureState, budget: SearchBudget = DEFAULT_BUDGET) -> Closur
         for child in sorted(children - parents.keys()):
             parents[child] = x
             frontier.append(child)
+            if stop is not None and stop(child, state.depth + 1):
+                hit = child
+                break
+        if hit is not None:
+            break
 
     bad = _FORBIDDEN_MEMBERS.intersection(frontier)
     if bad:
         raise AssertionError(f"forbidden primes {sorted(bad)} reached the closure of {state.root}")
-    return ClosureState(state.root, state.depth + 1, parents, tuple(frontier), complete)
+    return ClosureState(state.root, state.depth + 1, parents, tuple(frontier), complete), hit
 
 
 @dataclass(frozen=True)
@@ -255,6 +269,9 @@ def verify_certificate(cert: GoodnessCertificate) -> CertificateCheck:
 
 @dataclass(frozen=True)
 class GoodnessResult:
+    """A verdict, its certificate when good, and the closure searched:
+    when good, `state` ends on a partial layer at the terminal."""
+
     verdict: str
     certificate: GoodnessCertificate | None
     state: ClosureState
@@ -268,26 +285,70 @@ class GoodnessResult:
         return self.certificate.depth if self.certificate else None
 
 
+def _search(p: int, budget: SearchBudget, known: Mapping[int, int]) -> tuple[str, ClosureState, int | None]:
+    """Search from p to the first member m, reached at depth k, that is a
+    goal prime or has `known[m] + k <= max_depth`; (verdict, state, m)."""
+
+    def stop(m: int, k: int) -> bool:
+        return m % GOAL_MODULUS in GOAL_RESIDUES or known.get(m, budget.max_depth + 1) + k <= budget.max_depth
+
+    state = initial_state(p)
+    if stop(p, 0):
+        return GOOD, state, p
+    while True:
+        if state.saturated:
+            return NOT_GOOD, state, None
+        if state.depth >= budget.max_depth:
+            return INCONCLUSIVE, state, None
+        state, hit = _step(state, budget, stop)
+        if hit is not None:
+            return GOOD, state, hit
+
+
 def is_good(p: int, budget: SearchBudget = DEFAULT_BUDGET) -> GoodnessResult:
     """Decide goodness of the prime p > 7 within the budget.
 
     Returns the canonical certificate on success (minimal depth, then
-    lexicographically smallest path): the first goal prime on the first
-    frontier holding one, since each frontier is in canonical order.
+    lexicographically smallest path): the first goal prime met, since
+    each layer is walked in canonical order.  The search stops there, so
+    `state` ends on a partial layer.  The certificate is canonical
+    relative to the budget, and without qualification when
+    `result.state.complete` holds: every step taken factored completely.
     `not_good` is only reported for a genuinely saturated closure: no new
     members and every factorization complete.  Anything cut short by the
     depth or factoring budget is `inconclusive`.
     """
-    state = initial_state(p)
-    while True:
-        for member in state.frontier:
-            if member % GOAL_MODULUS in GOAL_RESIDUES:
-                return GoodnessResult(GOOD, certificate_for(state, member), state)
-        if state.saturated:
-            return GoodnessResult(NOT_GOOD, None, state)
-        if state.depth >= budget.max_depth:
-            return GoodnessResult(INCONCLUSIVE, None, state)
-        state = expand(state, budget)
+    verdict, state, goal = _search(p, budget, {})
+    certificate = certificate_for(state, goal) if goal is not None else None
+    return GoodnessResult(verdict, certificate, state)
+
+
+def goodness_verdicts(primes, budget: SearchBudget = DEFAULT_BUDGET) -> dict[int, str]:
+    """`is_good(q, budget).verdict` for each prime q > 7, with no certificates.
+
+    A step depends only on (x, budget), so two shortcuts are sound.  A
+    table, kept for this call only, maps primes to the length of some
+    path from them to a goal; a search also stops at a member m reached
+    at depth k with `known[m] + k <= max_depth`, and each good records
+    its winning path.  Each prime is first searched with
+    `max_candidate_bits=1`, which trial-divides alike but hands rho
+    nothing: its step images are subsets of the budget's, so only a good
+    from that pass is taken.
+    """
+    no_rho = replace(budget, max_candidate_bits=1)
+    known: dict[int, int] = {}
+    verdicts = {}
+    for q in primes:
+        for pass_budget in (no_rho, budget):
+            verdict, state, hit = _search(q, pass_budget, known)
+            if verdict == GOOD:
+                path = state.path_to(hit)
+                length = len(path) - 1 + known.get(hit, 0)
+                for i, m in enumerate(path):
+                    known[m] = min(length - i, known.get(m, length))
+                break
+        verdicts[q] = verdict
+    return verdicts
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 from . import arith
 from .arith import SIEVE_BOUND_LIMIT, ResourceLimitError
 from .factor import DEFAULT_BUDGET, SearchBudget, factorize
-from .goodness import GOOD, INCONCLUSIVE, is_good
+from .goodness import GOOD, INCONCLUSIVE, goodness_verdicts
 from .jsonio import canonical_dumps, dec, undec
 
 FORM_BOUND_LIMIT = 10**12
@@ -281,9 +281,10 @@ def scan_cyclotomic_form(
     whose primes qi > 5 enter with exponents 2, 8, 14, ...  Each
     candidate is annotated with whether some qi is good under the
     given budget (inconclusive verdicts are counted, never fatal) and
-    whether some qi is at most 157.  Goodness of each distinct prime is
-    decided once and shared.  q = 7 can occur in the form but goodness
-    is defined for primes > 7 only, so it never counts as good.
+    whether some qi is at most 157.  One `goodness_verdicts` call gives
+    the `is_good` verdict of every distinct prime, without certificates.
+    q = 7 can occur in the form but goodness is defined for primes > 7
+    only, so it never counts as good.
     """
     _check_form_bound(bound)
     pool = [p for p in arith.primes_up_to(math.isqrt(bound // 45)) if p > 5]
@@ -301,7 +302,7 @@ def scan_cyclotomic_form(
     notes: list[tuple[str, str]] = []
     if annotate_goodness:
         distinct = sorted({q for qs in prime_sets for q in qs})
-        verdicts = {q: "undefined" if q <= 7 else is_good(q, budget).verdict for q in distinct}
+        verdicts = {7: "undefined"} | goodness_verdicts([q for q in distinct if q > 7], budget)
         with_good = sum(1 for qs in prime_sets if any(verdicts[q] == GOOD for q in qs))
         with_small = sum(1 for qs in prime_sets if any(q <= 157 for q in qs))
         inconclusive = sum(1 for q in distinct if verdicts[q] == INCONCLUSIVE)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the lines as they
-complete.  The whole suite is designed to finish in a few minutes on a
-desktop machine; the dominant cost is the goodness annotation inside the
+complete.  The whole module finishes in well under a minute on a
+desktop machine; the dominant cost is the one shared run of the
+criterion-8 scans, most of it the goodness annotation of the 1e10
 cyclotomic-form scan.
 """
 

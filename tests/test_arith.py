@@ -1,5 +1,6 @@
 import ast
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,16 @@ def test_sigma_rejects_incomplete_or_wrong():
     assert result.status == "exhausted" and result.factors == ()
     with pytest.raises(ValueError):
         sigma(result.target, result.factors)
+
+
+def test_sigma_refuses_huge_exponent_before_computing_it():
+    # 2**(10**12) would need over 100 GB; the refusal must not build it
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        sigma(8, [(2, 10**12)])
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError):
+        sigma(8, [(2, 4)])  # the smallest exponent refused for 8
 
 
 def test_sigma_rejects_non_integers():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from goodprimes.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _build_parser, main
+from goodprimes.factor import SearchBudget
 from goodprimes.goodness import goodness_sweep
 from goodprimes.scan import scan_cyclotomic_form
 
@@ -210,15 +211,23 @@ def test_fresh_process_sweep_matches_warm_library():
     # a run in a new interpreter must print what this process computes
     # after earlier calls have warmed every module-level memo
     goodness_sweep(200)
-    scan_cyclotomic_form(10**6)
+    scan_cyclotomic_form(10**7)
     warm = goodness_sweep(400).to_json_lines()
+    # verdicts the default budget proved good must not carry over to a
+    # starved one: its scan finds inconclusive primes
+    starved = scan_cyclotomic_form(10**7, SearchBudget(trial_division_bound=100, rho_iteration_cap=10))
+    assert int(dict(starved.notes)["goodness_inconclusive_primes"]) > 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    fresh = subprocess.run(
-        [sys.executable, "-m", "goodprimes", "--format", "json", "sweep", "400"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert fresh.returncode == EXIT_OK, fresh.stderr
-    assert fresh.stdout == warm
+    for argv, expected in (
+        (["sweep", "400"], warm),
+        (["--trial-bound", "100", "--rho-cap", "10", "scan", "cyclotomic", "10000000"], starved.to_json() + "\n"),
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "goodprimes", "--format", "json", *argv],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert fresh.returncode == EXIT_OK, fresh.stderr
+        assert fresh.stdout == expected
 
 
 def test_scan_cyclotomic_json_matches_library(capsys):

@@ -3,15 +3,18 @@ import json
 import pytest
 import sympy
 
+from goodprimes import goodness
 from goodprimes.factor import SearchBudget
 from goodprimes.goodness import (
     GOOD,
     INCONCLUSIVE,
+    NOT_GOOD,
     GoodnessCertificate,
     certificate_for,
     cyclotomic_children,
     expand,
     goodness_sweep,
+    goodness_verdicts,
     initial_state,
     is_goal_prime,
     is_good,
@@ -168,10 +171,11 @@ def test_canonical_paths_match_reference_search():
     # ties occur: 83, 223, 337 and 367 have a member reached from two
     # parents in one layer, and for 19, 103, 127 and 293 the canonical
     # goal is not the smallest goal of its layer
+    # is_good stops at its winner, so full layers come from expand
     for p in sympy.primerange(8, 400):
         result = is_good(p)
         assert result.good, p
-        state = result.state
+        state = grow(p, result.depth)[-1]
         paths = shortest_paths(p, state.depth)
         assert state.members == paths.keys(), p
         goals = [min(paths[m]) for m in paths if is_goal_prime(m)]
@@ -181,6 +185,39 @@ def test_canonical_paths_match_reference_search():
             assert state.path_to(m) == min(paths[m]), (p, m)
         layer = [m for m in paths if len(paths[m][0]) == state.depth + 1]
         assert state.frontier == tuple(sorted(layer, key=lambda m: min(paths[m]))), p
+        partial = result.state.frontier
+        assert partial == state.frontier[: len(partial)], p
+        assert partial[-1] == result.certificate.terminal, p
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        SearchBudget(),
+        SearchBudget(max_depth=1),
+        SearchBudget(max_depth=2),
+        SearchBudget(max_depth=3),
+        SearchBudget(rho_iteration_cap=10),
+        SearchBudget(trial_division_bound=100),
+        SearchBudget(trial_division_bound=100, rho_iteration_cap=10, max_depth=3),
+        SearchBudget(max_candidate_bits=40),
+    ],
+    ids=repr,
+)
+def test_verdicts_match_is_good(budget):
+    primes = list(sympy.primerange(8, 5000))
+    assert goodness_verdicts(primes, budget) == {q: is_good(q, budget).verdict for q in primes}
+
+
+def test_verdicts_match_is_good_on_closed_graph(monkeypatch):
+    # no real prime is not_good, so step a small graph with no goal
+    # prime; both passes of goodness_verdicts go through this one map
+    graph = {13: {17, 19}, 17: {13}, 19: {13, 17}, 29: {13}, 31: {29, 43}, 43: {29}}
+    monkeypatch.setattr(goodness, "cyclotomic_children", lambda x, budget: (frozenset(graph[x]), True))
+    for budget, verdict in ((SearchBudget(), NOT_GOOD), (SearchBudget(max_depth=1), INCONCLUSIVE)):
+        expected = {q: is_good(q, budget).verdict for q in graph}
+        assert expected == dict.fromkeys(graph, verdict)
+        assert goodness_verdicts(graph, budget) == expected
 
 
 def test_certificate_rejects_non_ascii_digits():

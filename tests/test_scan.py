@@ -5,7 +5,8 @@ import pytest
 import sympy
 
 from goodprimes import scan
-from goodprimes.factor import factorize
+from goodprimes.factor import SearchBudget, factorize
+from goodprimes.goodness import GOOD, INCONCLUSIVE, is_good
 from goodprimes.scan import (
     CandidateRecord,
     ResourceLimitError,
@@ -109,13 +110,13 @@ def brute_form_values(bound, predicate):
     return values
 
 
-def record_candidates(monkeypatch, name):
-    # wrap the scan's form predicate to record the value of every candidate
+def record_candidates(monkeypatch, name, record=lambda pairs: math.prod(p**e for p, e in pairs)):
+    # wrap the scan's form predicate to record every candidate, by default its value
     values = []
     predicate = getattr(scan, name)
 
     def recording(pairs):
-        values.append(math.prod(p**e for p, e in pairs))
+        values.append(record(pairs))
         return predicate(pairs)
 
     monkeypatch.setattr(scan, name, recording)
@@ -169,13 +170,23 @@ def test_cyclotomic_scan_exponent_filter():
     assert _cyclo_count(n4) - _cyclo_count(n4 - 1) == 0
 
 
-def test_cyclotomic_scan_annotations():
-    report = scan_cyclotomic_form(10**7)
-    notes = dict(report.notes)
-    assert int(notes["candidates_with_good_prime"]) > 0
-    assert int(notes["candidates_with_prime_at_most_157"]) > 0
-    assert int(notes["distinct_primes"]) > 0
-    assert report.clean
+def test_cyclotomic_scan_annotations(monkeypatch):
+    # recompute every note from one is_good call per prime over the qi
+    # of each candidate
+    prime_sets = record_candidates(monkeypatch, "matches_cyclotomic_form", lambda pairs: [p for p, _ in pairs if p > 5])
+    for budget in (SearchBudget(), SearchBudget(trial_division_bound=100, rho_iteration_cap=10)):
+        prime_sets.clear()
+        report = scan_cyclotomic_form(10**7, budget)
+        assert report.clean
+        assert len(prime_sets) == report.candidates_checked
+        distinct = sorted({q for qs in prime_sets for q in qs})
+        verdicts = {q: is_good(q, budget).verdict for q in distinct if q > 7}
+        assert dict(report.notes) == {
+            "candidates_with_good_prime": str(sum(any(verdicts.get(q) == GOOD for q in qs) for qs in prime_sets)),
+            "candidates_with_prime_at_most_157": str(sum(any(q <= 157 for q in qs) for qs in prime_sets)),
+            "distinct_primes": str(len(distinct)),
+            "goodness_inconclusive_primes": str(list(verdicts.values()).count(INCONCLUSIVE)),
+        }, budget
 
 
 def test_form_scan_resource_guard():
