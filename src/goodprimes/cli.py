@@ -225,7 +225,7 @@ def _cmd_factor(args, budget) -> int:
     # primality beyond the deterministic witness range is high-confidence
     # (strong base-2 + strong Lucas), and says so
     confidence = "proven"
-    if any(arith.primality(p) == "probable_prime" for p, _ in result.factors):
+    if any(arith.primality(p) == arith.PROBABLE_PRIME for p, _ in result.factors):
         confidence = "probable"
     if args.format == "json":
         record = {

@@ -16,6 +16,7 @@ completeness check `status`.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import arith
@@ -48,7 +49,12 @@ class SearchBudget:
 
     def __post_init__(self) -> None:
         for name in ("trial_division_bound", "rho_iteration_cap", "max_candidate_bits", "max_depth"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 

@@ -1,7 +1,7 @@
 """Desk-scale exhaustive scanners for perfect numbers of special shapes.
 
 Two kinds of scan live here.  The sieve-backed scans walk every integer
-(or every multiple of 105) up to a memory-bounded limit and confirm that
+(or every odd multiple of 105) up to a memory-bounded limit and confirm that
 no odd number is perfect, reporting the even perfect numbers found as a
 positive control.  The form scans enumerate the sparse candidate sets
 
@@ -112,9 +112,10 @@ def sieve_sigma(bound: int) -> np.ndarray:
     """Divisor sums sigma(n) for all n <= bound via a divisor-pair sieve.
 
     Index 0 of the returned array is unused (zero).  Bounds above 1e8
-    are refused; the array alone is 8 bytes per entry.  A seeded random
-    sample of the result is cross-checked against the multiplicative
-    sigma on complete factorizations.
+    are refused; at peak the array and one temporary of its size take
+    16 bytes per entry.  A seeded random sample of the result is
+    cross-checked against the multiplicative sigma on complete
+    factorizations.
     """
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
@@ -123,10 +124,8 @@ def sieve_sigma(bound: int) -> np.ndarray:
     sig = np.zeros(bound + 1, dtype=np.int64)
     for d in range(1, math.isqrt(bound) + 1):
         sig[d * d] += d
-        first = d * (d + 1)
-        if first <= bound:
-            partners = np.arange(d + 1, bound // d + 1, dtype=np.int64)
-            sig[first::d][: len(partners)] += d + partners
+        # n = d*k for d < k <= bound // d gains the divisor pair d + k
+        sig[d * (d + 1)::d] += np.arange(2 * d + 1, d + bound // d + 1, dtype=np.int64)
     rng = random.Random(0xD1715 ^ bound)
     for _ in range(min(1000, bound)):
         n = rng.randint(1, bound)
@@ -136,35 +135,29 @@ def sieve_sigma(bound: int) -> np.ndarray:
     return sig
 
 
+def _scan_stride(form: str, bound: int, start: int, step: int, checked: int) -> ScanReport:
+    """Sieve once and test sigma(n) == 2n for n = start + k*step <= bound;
+    odd hits are audited counterexamples, even ones perfect numbers found."""
+    sig = sieve_sigma(bound)
+    hits = sig[start::step] == np.arange(2 * start, 2 * bound + 1, 2 * step, dtype=np.int64)
+    found = [start + step * int(i) for i in np.nonzero(hits)[0]]
+    return ScanReport(
+        form=form,
+        bound=bound,
+        candidates_checked=checked,
+        counterexamples=tuple(_audit_record(v) for v in found if v % 2),
+        perfect_found=tuple(v for v in found if v % 2 == 0),
+    )
+
+
 def scan_odd_perfect(bound: int) -> ScanReport:
     """Confirm no odd n <= bound is perfect; list the even perfect numbers."""
-    sig = sieve_sigma(bound)
-    values = np.arange(bound + 1, dtype=np.int64)
-    mask = sig == 2 * values
-    mask[0] = False
-    hits = [int(v) for v in np.nonzero(mask)[0]]
-    odd_hits = [v for v in hits if v % 2]
-    return ScanReport(
-        form=FORM_ODD,
-        bound=bound,
-        candidates_checked=(bound + 1) // 2,
-        counterexamples=tuple(_audit_record(v) for v in odd_hits),
-        perfect_found=tuple(v for v in hits if v % 2 == 0),
-    )
+    return _scan_stride(FORM_ODD, bound, 1, 1, (bound + 1) // 2)
 
 
 def scan_105(bound: int) -> ScanReport:
     """Confirm no odd multiple of 105 = 3*5*7 up to bound is perfect."""
-    sig = sieve_sigma(bound)
-    multiples = np.arange(105, bound + 1, 210, dtype=np.int64)
-    bad = [int(v) for v in multiples[sig[multiples] == 2 * multiples]]
-    return ScanReport(
-        form=FORM_105,
-        bound=bound,
-        candidates_checked=len(multiples),
-        counterexamples=tuple(_audit_record(v) for v in bad),
-        perfect_found=(),
-    )
+    return _scan_stride(FORM_105, bound, 105, 210, len(range(105, bound + 1, 210)))
 
 
 def _audit_record(n: int) -> CandidateRecord:
@@ -281,10 +274,11 @@ def scan_cyclotomic_form(
     whose primes qi > 5 enter with exponents 2, 8, 14, ...  Each
     candidate is annotated with whether some qi is good under the
     given budget (inconclusive verdicts are counted, never fatal) and
-    whether some qi is at most 157.  One `goodness_verdicts` call gives
-    the `is_good` verdict of every distinct prime, without certificates.
-    q = 7 can occur in the form but goodness is defined for primes > 7
-    only, so it never counts as good.
+    whether some qi is at most 157.  Every pool prime q occurs, in
+    5 * 3^2 * q^2 <= bound, so one `goodness_verdicts` call over the pool
+    gives the `is_good` verdict of every distinct prime, without
+    certificates.  q = 7 can occur in the form but goodness is defined
+    for primes > 7 only, so it never counts as good.
     """
     _check_form_bound(bound)
     pool = [p for p in arith.primes_up_to(math.isqrt(bound // 45)) if p > 5]
@@ -301,15 +295,14 @@ def scan_cyclotomic_form(
 
     notes: list[tuple[str, str]] = []
     if annotate_goodness:
-        distinct = sorted({q for qs in prime_sets for q in qs})
-        verdicts = {7: "undefined"} | goodness_verdicts([q for q in distinct if q > 7], budget)
-        with_good = sum(1 for qs in prime_sets if any(verdicts[q] == GOOD for q in qs))
+        verdicts = goodness_verdicts([q for q in pool if q > 7], budget)
+        with_good = sum(1 for qs in prime_sets if any(verdicts.get(q) == GOOD for q in qs))
         with_small = sum(1 for qs in prime_sets if any(q <= 157 for q in qs))
-        inconclusive = sum(1 for q in distinct if verdicts[q] == INCONCLUSIVE)
+        inconclusive = list(verdicts.values()).count(INCONCLUSIVE)
         notes = [
             ("candidates_with_good_prime", dec(with_good)),
             ("candidates_with_prime_at_most_157", dec(with_small)),
-            ("distinct_primes", dec(len(distinct))),
+            ("distinct_primes", dec(len(pool))),
             ("goodness_inconclusive_primes", dec(inconclusive)),
         ]
 

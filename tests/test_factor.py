@@ -133,6 +133,10 @@ def test_budget_validation():
         SearchBudget(trial_division_bound=0)
     with pytest.raises(ValueError):
         SearchBudget(max_depth=0)
+    # a float is refused by name, not passed on to fail later or never
+    for name in ("trial_division_bound", "rho_iteration_cap", "max_candidate_bits", "max_depth"):
+        with pytest.raises(TypeError, match=name):
+            SearchBudget(**{name: 1e6})
 
 
 def test_factorization_check_catches_corruption():

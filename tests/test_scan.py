@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy
 
-from goodprimes import scan
+from goodprimes import arith, scan
 from goodprimes.factor import SearchBudget, factorize
 from goodprimes.goodness import GOOD, INCONCLUSIVE, is_good
 from goodprimes.scan import (
@@ -55,6 +56,29 @@ def test_scan_odd_perfect_small():
     assert report.candidates_checked == 5000
     report = scan_odd_perfect(100)
     assert report.perfect_found == (6, 28)
+
+
+def test_sieve_scans_at_every_small_bound():
+    # bounds such as 6, 28, 105 and 315 end a stride on the bound itself
+    sigma = [0] + [sigma_naive(n) for n in range(1, 301)]
+    for bound in range(1, 301):
+        assert list(sieve_sigma(bound)[1:]) == sigma[1 : bound + 1], bound
+        odd = scan_odd_perfect(bound)
+        assert odd.perfect_found == tuple(v for v in (6, 28) if v <= bound), bound
+        assert odd.candidates_checked == (bound + 1) // 2
+        assert scan_105(bound).candidates_checked == len(range(105, bound + 1, 210))
+
+
+def test_sieve_scans_peak_memory():
+    # the sigma array plus one temporary of the same size; no third copy
+    bound = 10**6
+    factorize(2)  # build the trial-division blocks outside the measurement
+    for run in (sieve_sigma, scan_odd_perfect, scan_105):
+        tracemalloc.start()
+        run(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2.5 * 8 * (bound + 1), (run.__name__, peak)
 
 
 def test_scan_105():
@@ -187,6 +211,14 @@ def test_cyclotomic_scan_annotations(monkeypatch):
             "distinct_primes": str(len(distinct)),
             "goodness_inconclusive_primes": str(list(verdicts.values()).count(INCONCLUSIVE)),
         }, budget
+
+
+@pytest.mark.parametrize("bound", [2204, 2205, 10**5, 10**7])
+def test_cyclotomic_distinct_primes_are_the_pool(bound):
+    # every prime 5 < q <= isqrt(bound // 45) occurs, in 5 * 3^2 * q^2
+    notes = dict(scan_cyclotomic_form(bound).notes)
+    pool = [q for q in arith.primes_up_to(math.isqrt(bound // 45)) if q > 5]
+    assert notes["distinct_primes"] == str(len(pool))
 
 
 def test_form_scan_resource_guard():
