@@ -1,9 +1,9 @@
 """Desk-scale exhaustive scanners for perfect numbers of special shapes.
 
-Two kinds of scan live here.  The sieve-backed scans walk every integer
-(or every odd multiple of 105) up to a memory-bounded limit and confirm that
-no odd number is perfect, reporting the even perfect numbers found as a
-positive control.  The form scans enumerate the sparse candidate sets
+Two kinds of scan live here.  The sieve-backed scans confirm that no odd
+n up to a memory-bounded limit is perfect (even perfect numbers found are
+the positive control), or, sieving only 105 (mod 210), that no odd
+multiple of 105 is.  The form scans enumerate the sparse candidate sets
 
     squarefree form:   5^alpha * M^(2*beta), M odd squarefree, 5 ∤ M,
                        alpha = 1 (mod 4), M > 1;
@@ -108,38 +108,56 @@ class ScanReport:
         )
 
 
-def sieve_sigma(bound: int) -> np.ndarray:
-    """Divisor sums sigma(n) for all n <= bound via a divisor-pair sieve.
-
-    Index 0 of the returned array is unused (zero).  Bounds above 1e8
-    are refused; at peak the array and one temporary of its size take
-    16 bytes per entry.  A seeded random sample of the result is
-    cross-checked against the multiplicative sigma on complete
-    factorizations.
-    """
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
-    if bound > SIEVE_BOUND_LIMIT:
-        raise ResourceLimitError(f"sieve bound {bound} exceeds limit {SIEVE_BOUND_LIMIT}")
-    sig = np.zeros(bound + 1, dtype=np.int64)
+def _sigma_progression(out: np.ndarray, bound: int, start: int, step: int) -> None:
+    """Add sigma(start + i*step) into out[i] for every member <= bound: each
+    d <= sqrt(bound) adds d + k for its cofactors k >= d in the progression,
+    one class mod step/gcd(d, step) found by one modular inverse."""
     for d in range(1, math.isqrt(bound) + 1):
-        sig[d * d] += d
-        # n = d*k for d < k <= bound // d gains the divisor pair d + k
-        sig[d * (d + 1)::d] += np.arange(2 * d + 1, d + bound // d + 1, dtype=np.int64)
+        g = math.gcd(d, step)
+        if start % g:
+            continue  # d divides no member
+        period = step // g
+        k = d + (start // g * pow(d // g, -1, period) - d) % period
+        first = (d * k - start) // step
+        out[first :: d // g] += np.arange(k + d, bound // d + d + 1, period, dtype=np.int64)
+        if k == d:
+            out[first] -= d  # the square d*d has the divisor d once
+
+
+def _check_sample(sigmas: np.ndarray, bound: int, start: int, step: int) -> None:
+    """Cross-check a seeded sample of sigmas[i] = sigma(start + i*step)
+    against the multiplicative sigma on complete factorizations."""
     rng = random.Random(0xD1715 ^ bound)
-    for _ in range(min(1000, bound)):
-        n = rng.randint(1, bound)
+    for _ in range(min(1000, len(sigmas))):
+        n = start + step * rng.randrange(len(sigmas))
         expected = 1 if n == 1 else arith.sigma(n, factorize(n).factors)
-        if int(sig[n]) != expected:
+        if int(sigmas[(n - start) // step]) != expected:
             raise AssertionError(f"sieve disagrees with multiplicative sigma at n={n}")
+
+
+def sieve_sigma(bound: int) -> np.ndarray:
+    """Divisor sums sigma(n) for all n <= bound; index 0 is unused (zero).
+
+    The divisor-pair sieve runs over odd n only, and each even n = 2^a * m,
+    m odd, gets (2^(a+1) - 1) * sigma(m).  Bounds above 1e8 are refused; at
+    peak the array and a temporary of half its size take 12 bytes per entry.
+    A seeded sample is cross-checked against the multiplicative sigma.
+    """
+    _check_bound(bound, SIEVE_BOUND_LIMIT, "sieve")
+    sig = np.zeros(bound + 1, dtype=np.int64)
+    _sigma_progression(sig[1::2], bound, 1, 2)
+    for a in range(1, bound.bit_length()):
+        even = sig[1 << a :: 2 << a]  # n = 2^a * m for odd m = 1, 3, 5, ...
+        np.multiply(sig[1 : 2 * len(even) : 2], (2 << a) - 1, out=even)
+    _check_sample(sig[1:], bound, 1, 1)
     return sig
 
 
-def _scan_stride(form: str, bound: int, start: int, step: int, checked: int) -> ScanReport:
-    """Sieve once and test sigma(n) == 2n for n = start + k*step <= bound;
+def _scan_stride(form: str, bound: int, start: int, step: int, sigmas: np.ndarray, checked: int) -> ScanReport:
+    """Test sigma(n) == 2n for n = start + i*step <= bound, sigmas[i] = sigma(n);
     odd hits are audited counterexamples, even ones perfect numbers found."""
-    sig = sieve_sigma(bound)
-    hits = sig[start::step] == np.arange(2 * start, 2 * bound + 1, 2 * step, dtype=np.int64)
+    # 2n <= 2 * SIEVE_BOUND_LIMIT < 2**31, so an int32 ramp takes half the memory
+    hits = sigmas == np.arange(2 * start, 2 * bound + 1, 2 * step, dtype=np.int32)
     found = [start + step * int(i) for i in np.nonzero(hits)[0]]
     return ScanReport(
         form=form,
@@ -152,12 +170,16 @@ def _scan_stride(form: str, bound: int, start: int, step: int, checked: int) -> 
 
 def scan_odd_perfect(bound: int) -> ScanReport:
     """Confirm no odd n <= bound is perfect; list the even perfect numbers."""
-    return _scan_stride(FORM_ODD, bound, 1, 1, (bound + 1) // 2)
+    return _scan_stride(FORM_ODD, bound, 1, 1, sieve_sigma(bound)[1:], (bound + 1) // 2)
 
 
 def scan_105(bound: int) -> ScanReport:
-    """Confirm no odd multiple of 105 = 3*5*7 up to bound is perfect."""
-    return _scan_stride(FORM_105, bound, 105, 210, len(range(105, bound + 1, 210)))
+    """Confirm no odd multiple of 105 = 3*5*7 up to bound is perfect; sieves only 105 (mod 210)."""
+    _check_bound(bound, SIEVE_BOUND_LIMIT, "sieve")
+    sigmas = np.zeros(len(range(105, bound + 1, 210)), dtype=np.int64)
+    _sigma_progression(sigmas, bound, 105, 210)
+    _check_sample(sigmas, bound, 105, 210)
+    return _scan_stride(FORM_105, bound, 105, 210, sigmas, len(sigmas))
 
 
 def _audit_record(n: int) -> CandidateRecord:
@@ -192,11 +214,11 @@ def matches_cyclotomic_form(pairs) -> bool:
     return all(p > 5 and e % 6 == 2 and arith.is_prime(p) for p, e in exponents.items())
 
 
-def _check_form_bound(bound: int) -> None:
+def _check_bound(bound: int, limit: int, kind: str) -> None:
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
-    if bound > FORM_BOUND_LIMIT:
-        raise ResourceLimitError(f"form scan bound {bound} exceeds limit {FORM_BOUND_LIMIT}")
+    if bound > limit:
+        raise ResourceLimitError(f"{kind} bound {bound} exceeds limit {limit}")
 
 
 def _enumerate_form(bound: int, pool: list[int], matches, roots):
@@ -244,7 +266,7 @@ def scan_squarefree_form(bound: int) -> ScanReport:
     Perfection is tested with the exact multiplicative sigma on the
     constructed factorization.
     """
-    _check_form_bound(bound)
+    _check_bound(bound, FORM_BOUND_LIMIT, "form scan")
     pool = [p for p in arith.primes_up_to(math.isqrt(bound // 5)) if p not in (2, 5)]
     top = bound.bit_length()  # 5^alpha <= bound needs alpha < top, likewise 9^beta
     roots = [
@@ -280,7 +302,7 @@ def scan_cyclotomic_form(
     certificates.  q = 7 can occur in the form but goodness is defined
     for primes > 7 only, so it never counts as good.
     """
-    _check_form_bound(bound)
+    _check_bound(bound, FORM_BOUND_LIMIT, "form scan")
     pool = [p for p in arith.primes_up_to(math.isqrt(bound // 45)) if p > 5]
     top = bound.bit_length()  # x^e <= bound needs e < top for every x >= 2
     exponents = range(2, top, 6)

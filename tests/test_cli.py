@@ -150,7 +150,11 @@ def test_scan_resource_exit(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--trial-bound", "100000001", "factor", "1000000000039"), ("sweep", "100000000000")],
+    [
+        ("--trial-bound", "100000001", "factor", "1000000000039"),
+        ("sweep", "100000000000"),
+        ("scan", "105", "100000001"),
+    ],
 )
 def test_sieve_resource_exit_for_every_command(capsys, argv):
     # the sieve behind trial division or a sweep is refused before numpy

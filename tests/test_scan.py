@@ -36,17 +36,60 @@ def test_sieve_small_values():
         assert int(sig[n]) == sigma_naive(n), n
 
 
-def test_sieve_matches_sympy_block():
+@pytest.fixture(scope="module")
+def sympy_sigma():
+    return [0] + [int(sympy.divisor_sigma(n)) for n in range(1, 2**16 + 2)]
+
+
+def test_sieve_matches_sympy_block(sympy_sigma):
     sig = sieve_sigma(20_000)
-    want = [int(sympy.divisor_sigma(n)) for n in range(1, 20_001)]
-    assert list(sig[1:]) == want
+    assert list(sig[1:]) == sympy_sigma[1:20_001]
+
+
+def test_sieve_matches_sympy_around_powers_of_two(sympy_sigma):
+    # the even entries are filled from the odd ones, one power of two at a time
+    for k in range(17):
+        for bound in {2**k - 1, 2**k, 2**k + 1} - {0}:
+            assert list(sieve_sigma(bound)) == sympy_sigma[: bound + 1], bound
+
+
+def test_sigma_progression_105_matches_naive():
+    members = range(105, 5001, 210)
+    sigma = {n: sigma_naive(n) for n in members}
+    for bound in [*range(1, 301), *members]:
+        want = [sigma[n] for n in range(105, bound + 1, 210)]
+        out = np.zeros(len(want), dtype=np.int64)
+        scan._sigma_progression(out, bound, 105, 210)
+        assert list(out) == want, bound
+
+
+def test_sigma_progression_every_small_progression():
+    for step in range(1, 13):
+        for start in range(1, step + 1):
+            for bound in (1, 50, 97, 144):
+                members = range(start, bound + 1, step)
+                out = np.zeros(len(members), dtype=np.int64)
+                scan._sigma_progression(out, bound, start, step)
+                assert list(out) == [sigma_naive(n) for n in members], (start, step, bound)
 
 
 def test_sieve_resource_guard():
-    with pytest.raises(ResourceLimitError):
-        sieve_sigma(10**8 + 1)
-    with pytest.raises(ValueError):
-        sieve_sigma(0)
+    for run in (sieve_sigma, scan_105):
+        with pytest.raises(ResourceLimitError):
+            run(10**8 + 1)
+        with pytest.raises(ValueError):
+            run(0)
+
+
+def test_sieve_self_check_runs_on_both_paths(monkeypatch):
+    # negative control: a multiplicative sigma that is one too high must
+    # trip the sampled cross-check of both sieves
+    sigma = scan.arith.sigma
+    monkeypatch.setattr(scan.arith, "sigma", lambda n, pairs: sigma(n, pairs) + 1)
+    with pytest.raises(AssertionError):
+        sieve_sigma(1000)
+    with pytest.raises(AssertionError):
+        scan_105(10**4)
 
 
 def test_scan_odd_perfect_small():
@@ -70,15 +113,17 @@ def test_sieve_scans_at_every_small_bound():
 
 
 def test_sieve_scans_peak_memory():
-    # the sigma array plus one temporary of the same size; no third copy
+    # the sigma array plus temporaries of at most 5/8 its size (the odd-n
+    # arange, or an int32 ramp and a bool mask); the 105 scan holds only
+    # its own progression, about 1/210 of the array
     bound = 10**6
     factorize(2)  # build the trial-division blocks outside the measurement
-    for run in (sieve_sigma, scan_odd_perfect, scan_105):
+    for run, ratio in ((sieve_sigma, 1.9), (scan_odd_perfect, 1.9), (scan_105, 0.1)):
         tracemalloc.start()
         run(bound)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 2.5 * 8 * (bound + 1), (run.__name__, peak)
+        assert peak < ratio * 8 * (bound + 1), (run.__name__, peak)
 
 
 def test_scan_105():
