@@ -19,7 +19,8 @@ lexicographically smallest prime path.  Each layer's new members are
 kept in that canonical-path order, so the search ranks no paths: it
 stops at the first goal prime met, on a partial layer.  That order is
 the budget's, so a certificate is canonical relative to the budget, and
-without qualification when every step taken factored completely.
+without qualification when every step taken factored completely or, at
+the goal, was proved to have found every prime below it.
 `verify_certificate` replays a certificate from scratch, without the
 factorizer, so a verified certificate stands on its own.
 
@@ -31,8 +32,11 @@ defined for primes > 7 only).
 """
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from . import arith
 from .factor import DEFAULT_BUDGET, SearchBudget, factorize
@@ -46,6 +50,8 @@ NOT_GOOD = "not_good"
 INCONCLUSIVE = "inconclusive"
 
 _FORBIDDEN_MEMBERS = frozenset({2, 3, 5})
+_QUICK_CAP = 2**16  # the first rho cap of a step with a stop
+_SEGMENT = 2**16  # divisors per array in `_no_factor_between`
 
 
 def is_goal_prime(p: int) -> bool:
@@ -82,8 +88,8 @@ class ClosureState:
     (None for the root), so `path_to` follows canonical paths.  The
     `frontier` holds the members first reached at `depth` in canonical-path
     order: shortest path first, then the lexicographically smallest.
-    `complete` holds while every step image computed so far factored
-    completely.
+    `complete` holds while every step taken factored completely or, for
+    a search that stopped at s, found every prime below s (`_step`).
     """
 
     root: int
@@ -134,17 +140,50 @@ def expand(state: ClosureState, budget: SearchBudget = DEFAULT_BUDGET) -> Closur
     return _step(state, budget)[0]
 
 
+def _no_factor_between(n: int, lo: int, hi: int) -> bool:
+    """True if no k = 1 (mod 6) in (lo, hi) divides n.  For n | x^2 + x + 1
+    prime to 3, each prime factor is 1 (mod 6) (x has order 3 mod it), so
+    none lies in (lo, hi).  False is "not proved", as for hi > SIEVE_BOUND_LIMIT."""
+    if hi > arith.SIEVE_BOUND_LIMIT:
+        return False
+    for start in range(lo + 1 + -lo % 6, hi, 6 * _SEGMENT):
+        k = np.arange(start, min(start + 6 * _SEGMENT, hi), 6, dtype=np.uint64)
+        r = np.zeros_like(k)
+        for shift in range(n.bit_length() // 32 * 32, -1, -32):  # Horner in base 2^32, r < k < 2^27
+            r = (r << 32 | (n >> shift) & 0xFFFFFFFF) % k
+        if not r.all():
+            return False
+    return True
+
+
 def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[ClosureState, int | None]:
     """`expand`, but stop at the first new child c with `stop(c, depth)`
-    and return it with the state, which then ends on a partial layer."""
+    and return it with the state, which then ends on a partial layer.
+
+    With `stop`, rho first gets at most 2^16 iterations.  If that falls
+    short at s, the first new child with `stop`, trial division found
+    every prime to its bound; so if the unfound part has no prime factor
+    from there to s, every prime below s was found.  A larger cap repeats
+    each split of a smaller one, so the full budget hits s too, and the
+    step counts as complete.  Otherwise x is factored with the budget.
+    """
     complete = state.complete
     parents = dict(state.parents)
     frontier: list[int] = []
     hit = None
+    quick = budget if budget.rho_iteration_cap <= _QUICK_CAP else replace(budget, rho_iteration_cap=_QUICK_CAP)
     for x in state.frontier:
         if x <= 7:
             continue
-        children, finished = cyclotomic_children(x, budget)
+        children, finished = cyclotomic_children(x, budget if stop is None else quick)
+        if stop is not None and not finished:
+            s = next((c for c in sorted(children - parents.keys()) if stop(c, state.depth + 1)), None)
+            value = x * x + x + 1
+            rest = value // math.prod(q ** arith.valuation(q, value) for q in children | {3})
+            if s is not None and _no_factor_between(rest, budget.trial_division_bound, s):
+                finished = True
+            elif quick != budget:
+                children, finished = cyclotomic_children(x, budget)
         complete = complete and finished
         for child in sorted(children - parents.keys()):
             parents[child] = x
@@ -313,7 +352,8 @@ def is_good(p: int, budget: SearchBudget = DEFAULT_BUDGET) -> GoodnessResult:
     each layer is walked in canonical order.  The search stops there, so
     `state` ends on a partial layer.  The certificate is canonical
     relative to the budget, and without qualification when
-    `result.state.complete` holds: every step taken factored completely.
+    `result.state.complete` holds: every step taken factored completely
+    or, at the goal, found every prime below it.
     `not_good` is only reported for a genuinely saturated closure: no new
     members and every factorization complete.  Anything cut short by the
     depth or factoring budget is `inconclusive`.
@@ -331,11 +371,11 @@ def goodness_verdicts(primes, budget: SearchBudget = DEFAULT_BUDGET) -> dict[int
     path from them to a goal; a search also stops at a member m reached
     at depth k with `known[m] + k <= max_depth`, and each good records
     its winning path.  Each prime is first searched with
-    `max_candidate_bits=1`, which trial-divides alike but hands rho
-    nothing: its step images are subsets of the budget's, so only a good
-    from that pass is taken.
+    `max_candidate_bits=1` (and a rho cap of 1, so `_step` factors once),
+    which trial-divides alike but hands rho nothing: its step images are
+    subsets of the budget's, so only a good from that pass is taken.
     """
-    no_rho = replace(budget, max_candidate_bits=1)
+    no_rho = replace(budget, max_candidate_bits=1, rho_iteration_cap=1)
     known: dict[int, int] = {}
     verdicts = {}
     for q in primes:

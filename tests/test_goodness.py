@@ -371,3 +371,116 @@ def test_certificate_for_intermediate_member():
     assert [edge[0] for edge in cert.path] == [13, 61]
     # 97 is not a goal prime, so the certificate must not verify
     assert not verify_certificate(cert)
+
+
+# 2^61 - 1 is prime, so it adds no divisor below the sieve limit
+BIG = 2**61 - 1
+
+
+def first_prime_1_mod_6(after):
+    return next(q for q in sympy.primerange(after + 1, 2 * after + 20) if q % 6 == 1)
+
+
+def test_range_check_finds_planted_primes():
+    lo, s = 1000, 10**6
+    above_lo = first_prime_1_mod_6(lo)
+    below_s = sympy.prevprime(s)
+    while below_s % 6 != 1:
+        below_s = sympy.prevprime(below_s)
+    assert goodness._no_factor_between(BIG, lo, s)
+    assert not goodness._no_factor_between(above_lo * BIG, lo, s)
+    assert not goodness._no_factor_between(above_lo * BIG, above_lo - 1, s)
+    assert not goodness._no_factor_between(below_s * BIG, lo, s)
+    assert not goodness._no_factor_between(below_s * BIG, lo, below_s + 1)
+
+
+def test_range_check_segment_boundaries():
+    # the tested k are lo < k < hi with k = 1 (mod 6), in arrays of _SEGMENT;
+    # place q first in the second array, then last in the first
+    span = 6 * goodness._SEGMENT
+    q = first_prime_1_mod_6(10**6)
+    for lo in (q - span - 1, q - span + 5):
+        assert not goodness._no_factor_between(q * BIG, lo, q + span)
+        assert goodness._no_factor_between(q * BIG, lo, q)
+
+
+def test_range_check_ignores_primes_from_s_up():
+    lo, s = 1000, first_prime_1_mod_6(10**5)
+    assert goodness._no_factor_between(s * BIG, lo, s)
+    assert goodness._no_factor_between(first_prime_1_mod_6(s) * s * BIG, lo, s)
+
+
+def test_range_check_trivial_and_refused(monkeypatch):
+    # nothing lies strictly between lo and s <= lo + 1
+    for s in (50, 100, 101):
+        assert goodness._no_factor_between(103 * 109, 100, s)
+    # above the sieve limit the check answers "not proved" and allocates nothing
+    monkeypatch.setattr(goodness, "np", None)
+    assert not goodness._no_factor_between(BIG, 10**6, goodness.arith.SIEVE_BOUND_LIMIT + 1)
+
+
+def canonical_certificate(p, budget):
+    """The first goal prime of the first full `expand` layer that has one."""
+    state = initial_state(p)
+    while True:
+        goals = [m for m in state.frontier if is_goal_prime(m)]
+        if goals or state.depth == budget.max_depth:
+            return certificate_for(state, goals[0]) if goals else None
+        state = expand(state, budget)
+
+
+def test_stop_aware_step_keeps_canonical_certificates(monkeypatch):
+    # the last budget leaves trial division so little that the segmented
+    # range test, not only the s <= bound shortcut, decides steps
+    budgets = [
+        SearchBudget(trial_division_bound=100, rho_iteration_cap=10),
+        SearchBudget(max_candidate_bits=40),
+        SearchBudget(trial_division_bound=10, rho_iteration_cap=10),
+    ]
+    decided = []
+    check = goodness._no_factor_between
+
+    def spy(n, lo, hi):
+        proved = check(n, lo, hi)
+        if proved:
+            decided.append(hi > lo + 1)
+        return proved
+
+    monkeypatch.setattr(goodness, "_no_factor_between", spy)
+    for budget in budgets:
+        for p in sympy.primerange(8, 400):
+            assert is_good(p, budget).certificate == canonical_certificate(p, budget), (budget, p)
+    assert decided and any(decided)
+
+
+# certificates of the parent implementation, whose last step failed a full-cap rho
+PINNED = {
+    2477: '{"path":[["2477","6138007","323053"],["323053","104363563863","2675988817"],'
+    '["2675988817","7160916151385048307","2386972050461682769"],'
+    '["2386972050461682769","5697635569685250233739335929653190131","36691"]],'
+    '"root":"2477","terminal":"36691","terminal_residue":"4"}',
+    1328304987677: '{"path":[["1328304987677","1764394140288923426844007","1764394140288923426844007"],'
+    '["1764394140288923426844007","3113086682285889202548047800811384553651738660057",'
+    '"238495876985052417264080885682324718735289869"],'
+    '["238495876985052417264080885682324718735289869",'
+    '"56880283338869255292957253089132701541941170001502358920729043735381445250339794189327031",'
+    '"51347167"]],"root":"1328304987677","terminal":"51347167","terminal_residue":"4"}',
+}
+
+
+@pytest.mark.parametrize("root", sorted(PINNED))
+def test_stop_aware_step_skips_the_failed_rho(monkeypatch, root):
+    from goodprimes import factor
+
+    caps = []
+    split = factor._rho_split
+
+    def spy(n, cap):
+        caps.append(cap)
+        return split(n, cap)
+
+    monkeypatch.setattr(factor, "_rho_split", spy)
+    result = is_good(root)
+    assert result.certificate.to_json() == PINNED[root]
+    assert result.state.complete is True
+    assert caps and max(caps) <= goodness._QUICK_CAP
