@@ -50,8 +50,8 @@ NOT_GOOD = "not_good"
 INCONCLUSIVE = "inconclusive"
 
 _FORBIDDEN_MEMBERS = frozenset({2, 3, 5})
-_QUICK_CAP = 2**16  # the first rho cap of a step with a stop
-_SEGMENT = 2**16  # divisors per array in `_no_factor_between`
+_QUICK_CAP = 2**16  # first rho cap of a step with a stop (Brent runs 2^17 - 2 on a part that does not split)
+_SEGMENT = 2**17  # k per sieved segment in `_no_factor_between`
 
 
 def is_goal_prime(p: int) -> bool:
@@ -141,16 +141,25 @@ def expand(state: ClosureState, budget: SearchBudget = DEFAULT_BUDGET) -> Closur
 
 
 def _no_factor_between(n: int, lo: int, hi: int) -> bool:
-    """True if no k = 1 (mod 6) in (lo, hi) divides n.  For n | x^2 + x + 1
+    """True if no prime k = 1 (mod 6) in (lo, hi) divides n.  For n | x^2 + x + 1
     prime to 3, each prime factor is 1 (mod 6) (x has order 3 mod it), so
-    none lies in (lo, hi).  False is "not proved", as for hi > SIEVE_BOUND_LIMIT."""
+    none lies in (lo, hi).  False is "not proved", as for hi > SIEVE_BOUND_LIMIT.
+    Each segment of the k is sieved by the primes 5 <= p <= min(1000, isqrt(hi))
+    from p^2 up, so the primes stay in, and only what is left is tested."""
     if hi > arith.SIEVE_BOUND_LIMIT:
         return False
+    small = [(p, pow(6, -1, p)) for p in arith.primes_up_to(min(1000, math.isqrt(hi)))[2:]]
     for start in range(lo + 1 + -lo % 6, hi, 6 * _SEGMENT):
-        k = np.arange(start, min(start + 6 * _SEGMENT, hi), 6, dtype=np.uint64)
+        keep = np.ones(min(_SEGMENT, (hi - start + 5) // 6), dtype=bool)  # k = start + 6i
+        for p, inv in small:
+            first = max(0, -((start - p * p) // 6))  # the first i with k >= p^2
+            keep[first + (-start * inv - first) % p :: p] = False
+        k = np.flatnonzero(keep).astype(np.uint64) * 6 + start
         r = np.zeros_like(k)
         for shift in range(n.bit_length() // 32 * 32, -1, -32):  # Horner in base 2^32, r < k < 2^27
-            r = (r << 32 | (n >> shift) & 0xFFFFFFFF) % k
+            r <<= 32
+            r |= (n >> shift) & 0xFFFFFFFF
+            r %= k
         if not r.all():
             return False
     return True
@@ -160,12 +169,13 @@ def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[Closure
     """`expand`, but stop at the first new child c with `stop(c, depth)`
     and return it with the state, which then ends on a partial layer.
 
-    With `stop`, rho first gets at most 2^16 iterations.  If that falls
-    short at s, the first new child with `stop`, trial division found
-    every prime to its bound; so if the unfound part has no prime factor
-    from there to s, every prime below s was found.  A larger cap repeats
-    each split of a smaller one, so the full budget hits s too, and the
-    step counts as complete.  Otherwise x is factored with the budget.
+    With `stop`, rho first gets a cap of 2^16 iterations (2^17 - 2 on a
+    part that does not split).  If that falls short at s, the first new
+    child with `stop`, trial division found every prime to its bound; so
+    if the unfound part has no prime divisor from there to s, every prime
+    below s was found.  A larger cap repeats each split of a smaller one,
+    so the full budget hits s too, and the step counts as complete.
+    Otherwise x is factored with the budget.
     """
     complete = state.complete
     parents = dict(state.parents)

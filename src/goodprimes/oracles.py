@@ -73,7 +73,10 @@ def multiplicative_order(p: int, q: int) -> int:
 
 def order_valuation(p: int, q: int) -> int:
     """The e >= 1 with q**e exactly dividing p**d - 1, d the order of p mod q."""
-    d = multiplicative_order(p, q)
+    return _exact_power(p, q, multiplicative_order(p, q))
+
+
+def _exact_power(p: int, q: int, d: int) -> int:
     e = 1
     while pow(p, d, q ** (e + 1)) == 1:
         e += 1
@@ -99,7 +102,7 @@ def sigma_exact_power(q: int, b: int, p: int, c: int) -> DivisibilityWitness:
     if b < 1 or c < 1:
         raise ValueError(f"need b >= 1 and c >= 1, got b={b}, c={c}")
     d = multiplicative_order(p, q)  # validates p, q
-    a = order_valuation(p, q)
+    a = _exact_power(p, q, d)
     if p % q == 1:
         branch = CONGRUENT_1
         holds = valuation(q, c + 1) == b

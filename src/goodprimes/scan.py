@@ -187,10 +187,16 @@ def _audit_record(n: int) -> CandidateRecord:
     return CandidateRecord(n, factors, arith.sigma(n, factors))
 
 
+def _exponents(pairs) -> dict[int, int]:
+    """{prime: exponent}, or {} (which matches no form) when a prime repeats."""
+    exponents = dict(pairs)
+    return exponents if len(exponents) == len(pairs) else {}
+
+
 def matches_squarefree_form(pairs) -> bool:
     """Is this factorization 5^alpha times a squarefree odd kernel to one
     common even power, with alpha = 1 (mod 4) and the kernel coprime to 5?"""
-    exponents = dict(pairs)
+    exponents = _exponents(pairs)
     alpha = exponents.pop(5, 0)
     if alpha % 4 != 1 or not exponents:
         return False
@@ -205,7 +211,7 @@ def matches_squarefree_form(pairs) -> bool:
 
 def matches_cyclotomic_form(pairs) -> bool:
     """Is this factorization 5^alpha * 3^(2b) * prod qi^(6ki+2), qi > 5?"""
-    exponents = dict(pairs)
+    exponents = _exponents(pairs)
     if exponents.pop(5, 0) < 1:
         return False
     b2 = exponents.pop(3, 0)

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -392,16 +394,47 @@ def test_range_check_finds_planted_primes():
     assert not goodness._no_factor_between(above_lo * BIG, above_lo - 1, s)
     assert not goodness._no_factor_between(below_s * BIG, lo, s)
     assert not goodness._no_factor_between(below_s * BIG, lo, below_s + 1)
+    # the sieve keeps its own primes, up to 997, in the range
+    for q, lo in ((7, 1), (13, 10), (31, 10), (997, 1)):
+        assert not goodness._no_factor_between(q * BIG, lo, s)
+        assert goodness._no_factor_between(q * BIG, q, s)
 
 
 def test_range_check_segment_boundaries():
-    # the tested k are lo < k < hi with k = 1 (mod 6), in arrays of _SEGMENT;
-    # place q first in the second array, then last in the first
+    # the k = 1 (mod 6) with lo < k < hi are sieved in segments of _SEGMENT;
+    # place q first in the second segment, then last in the first
     span = 6 * goodness._SEGMENT
-    q = first_prime_1_mod_6(10**6)
+    q = first_prime_1_mod_6(10**6 + span)
     for lo in (q - span - 1, q - span + 5):
         assert not goodness._no_factor_between(q * BIG, lo, q + span)
         assert goodness._no_factor_between(q * BIG, lo, q)
+
+
+def test_range_check_matches_sympy():
+    # True exactly when no prime k = 1 (mod 6) with lo < k < hi divides n;
+    # a prime square p^2 = 1 (mod 6) with p <= 1000 must be sieved out
+    rng = random.Random(6)
+    span = 6 * goodness._SEGMENT
+    for _ in range(8):
+        lo = rng.choice([1, 10, 999, rng.randrange(1, span)])
+        hi = lo + rng.randrange(span, 3 * span)
+        edges = [lo, lo + span, lo + 2 * span, hi, rng.randrange(lo, hi)]
+        planted = [sympy.nextprime(e + rng.randrange(-30, 30)) for e in edges]
+        for m in planted + [sympy.prime(rng.randrange(3, 169)) ** 2, 1]:
+            n = m * BIG
+            expected = not any(lo < d < hi and d % 6 == 1 for d in sympy.primefactors(n))
+            assert goodness._no_factor_between(n, lo, hi) == expected, (n, lo, hi)
+
+
+def test_range_check_peak_memory():
+    # one segment of 2^17 flags and the uint64 arrays of its survivors, about a quarter
+    tracemalloc.start()
+    try:
+        assert goodness._no_factor_between(BIG, 10**6, 5 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_range_check_ignores_primes_from_s_up():

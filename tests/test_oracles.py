@@ -13,6 +13,7 @@ from goodprimes.oracles import (
     forced_good_divisor,
     forced_prime_count,
     omega_upper_bound,
+    order_valuation,
     sigma_coprime_to_five,
     sigma_exact_power,
 )
@@ -42,6 +43,26 @@ def test_witness_exhaustive_agreement_with_direct_valuation():
                     w = sigma_exact_power(q, b, p, c)
                     assert w.holds == (direct == b), (q, b, p, c)
                     assert w.branch == ("congruent_1" if p % q == 1 else "not_congruent_1")
+
+
+def test_witness_factors_the_group_order_once(monkeypatch):
+    # d and a come from one factorization of q - 1
+    from goodprimes import oracles
+
+    calls = []
+    factor = oracles.factorize
+
+    def spy(n, *args):
+        calls.append(n)
+        return factor(n, *args)
+
+    monkeypatch.setattr(oracles, "factorize", spy)
+    witnesses = [(5, 2, 7, 3), (5, 1, 11, 4), (7, 1, 2, 2), (13, 1, 3, 2), (31, 1, 5, 2)]
+    for q, b, p, c in witnesses:
+        calls.clear()
+        w = sigma_exact_power(q, b, p, c)
+        assert calls == [q - 1]
+        assert w.a == order_valuation(p, q)
 
 
 def test_witness_big_exponent_branch_b():

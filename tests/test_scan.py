@@ -144,6 +144,7 @@ def test_form_predicates():
     assert not matches_squarefree_form([(5, 1), (3, 2), (7, 4)])  # mixed exponents
     assert not matches_squarefree_form([(5, 1), (2, 2)])  # even kernel
     assert not matches_squarefree_form([(5, 1), (3, 3)])  # odd exponent
+    assert not matches_squarefree_form([(5, 1), (7, 2), (11, 2), (11, 2)])  # 5 * 7^2 * 11^4
 
     assert matches_cyclotomic_form([(5, 1), (3, 2), (11, 2)])
     assert matches_cyclotomic_form([(5, 3), (3, 4), (7, 8), (13, 2)])
@@ -152,6 +153,7 @@ def test_form_predicates():
     assert not matches_cyclotomic_form([(5, 1), (3, 2)])  # no q part
     assert not matches_cyclotomic_form([(5, 1), (3, 2), (11, 4)])  # 4 != 2 mod 6
     assert not matches_cyclotomic_form([(5, 1), (3, 3), (11, 2)])  # odd 3-exponent
+    assert not matches_cyclotomic_form([(5, 1), (3, 2), (11, 4), (11, 2)])  # 11^6, 6 != 2 mod 6
 
 
 def spf_factor_pairs(n, spf):
