@@ -8,7 +8,7 @@ inconclusive result; any command whose sieve would pass 1e8 exits 3.
 The front end checks no argument itself: the library function that owns
 a rule raises ValueError, and any ValueError or OSError (an unusable -o
 path) becomes exit 2 with one `goodprimes: error:` line on stderr.  The
-five global flags are the only settings; the environment configures
+four global flags are the only settings; the environment configures
 nothing.
 
 In --format json every result is one canonical JSON record per line, so
@@ -60,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rho-cap", type=int, default=DEFAULT_BUDGET.rho_iteration_cap, help="rho iterations per composite"
-    )
-    parser.add_argument(
-        "--max-bits", type=int, default=DEFAULT_BUDGET.max_candidate_bits, help="bit cap on rho candidates"
     )
     parser.add_argument("--format", choices=("text", "json"), default="text", help="output format (default text)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -260,7 +257,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        budget = SearchBudget(args.trial_bound, args.rho_cap, args.max_bits, args.depth)
+        budget = SearchBudget(
+            trial_division_bound=args.trial_bound, rho_iteration_cap=args.rho_cap, max_depth=args.depth
+        )
         return _COMMANDS[args.command](args, budget)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

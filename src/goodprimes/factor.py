@@ -27,6 +27,7 @@ STATUS_EXHAUSTED = "exhausted"
 _STATUSES = (STATUS_COMPLETE, STATUS_PARTIAL, STATUS_EXHAUSTED)
 
 _RHO_BATCH = 128
+_MAX_RHO_BITS = 512  # wider composites are left unsplit ("partial"), never handed to rho
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class SearchBudget:
     """Effort limits for factoring and for the closure search.
 
     Defaults: trial division to 1e6, 1e7 rho iterations per composite,
-    512-bit cap on composites handed to rho, closure depth 12.
+    closure depth 12.  No budget hands rho a composite over 512 bits.
 
     Brent's rho checks `rho_iteration_cap` only at the end of a doubling
     round, so an attempt that finds no divisor spends the smallest
@@ -44,11 +45,10 @@ class SearchBudget:
 
     trial_division_bound: int = 10**6
     rho_iteration_cap: int = 10**7
-    max_candidate_bits: int = 512
     max_depth: int = 12
 
     def __post_init__(self) -> None:
-        for name in ("trial_division_bound", "rho_iteration_cap", "max_candidate_bits", "max_depth"):
+        for name in ("trial_division_bound", "rho_iteration_cap", "max_depth"):
             value = getattr(self, name)
             try:
                 operator.index(value)
@@ -199,8 +199,8 @@ def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
     below the square of the iteration cap).  Status values:
 
     - "complete":  cofactor 1, all prime powers certified.
-    - "partial":   a composite part exceeded max_candidate_bits and was
-                   not attacked with rho.
+    - "partial":   a composite part wider than 512 bits was not
+                   attacked with rho.
     - "exhausted": rho hit its iteration cap on some composite part.
     """
     if n < 2:
@@ -219,7 +219,7 @@ def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
             if arith.is_prime(m):
                 counts[m] = counts.get(m, 0) + 1
                 continue
-            if m.bit_length() > budget.max_candidate_bits:
+            if m.bit_length() > _MAX_RHO_BITS:
                 leftovers.append(m)
                 continue
             divisor = _rho_split(m, budget.rho_iteration_cap)

@@ -188,11 +188,11 @@ def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[Closure
         children, finished = cyclotomic_children(x, budget if stop is None else quick)
         if stop is not None and not finished:
             s = next((c for c in sorted(children - parents.keys()) if stop(c, state.depth + 1)), None)
-            value = x * x + x + 1
-            rest = value // math.prod(q ** arith.valuation(q, value) for q in children | {3})
-            if s is not None and _no_factor_between(rest, budget.trial_division_bound, s):
-                finished = True
-            elif quick != budget:
+            if s is not None:
+                value = x * x + x + 1
+                rest = value // math.prod(q ** arith.valuation(q, value) for q in children | {3})
+                finished = _no_factor_between(rest, budget.trial_division_bound, s)
+            if not finished and quick != budget:
                 children, finished = cyclotomic_children(x, budget)
         complete = complete and finished
         for child in sorted(children - parents.keys()):
@@ -380,16 +380,17 @@ def goodness_verdicts(primes, budget: SearchBudget = DEFAULT_BUDGET) -> dict[int
     table, kept for this call only, maps primes to the length of some
     path from them to a goal; a search also stops at a member m reached
     at depth k with `known[m] + k <= max_depth`, and each good records
-    its winning path.  Each prime is first searched with
-    `max_candidate_bits=1` (and a rho cap of 1, so `_step` factors once),
-    which trial-divides alike but hands rho nothing: its step images are
-    subsets of the budget's, so only a good from that pass is taken.
+    its winning path.  Each prime is first searched with a rho cap of 1
+    (so `_step` factors once), which trial-divides alike and gives rho one
+    Brent round, the budget's own first round: its step images are subsets
+    of the budget's, so only a good from that pass is taken.
     """
-    no_rho = replace(budget, max_candidate_bits=1, rho_iteration_cap=1)
+    quick = replace(budget, rho_iteration_cap=1)
+    passes = (quick,) if quick == budget else (quick, budget)
     known: dict[int, int] = {}
     verdicts = {}
     for q in primes:
-        for pass_budget in (no_rho, budget):
+        for pass_budget in passes:
             verdict, state, hit = _search(q, pass_budget, known)
             if verdict == GOOD:
                 path = state.path_to(hit)

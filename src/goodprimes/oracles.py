@@ -26,7 +26,7 @@ forced good divisors 31 and 13.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import cyclotomic_value, is_prime, sigma_prime_power, valuation
+from .arith import ResourceLimitError, cyclotomic_value, is_prime, sigma_prime_power, valuation
 from .enclosure import DEFAULT_WIDTH, log_enclosure
 from .factor import factorize
 
@@ -54,13 +54,13 @@ class DivisibilityWitness:
 def multiplicative_order(p: int, q: int) -> int:
     """Smallest d >= 1 with p**d = 1 (mod q), for distinct primes, q odd.
 
-    Found by factoring q - 1 and descending through its divisors, so the
-    result is exact.  The returned d always divides q - 1.
+    Found by factoring q - 1 (ResourceLimitError if that stays incomplete)
+    and descending through its divisors, so d is exact and divides q - 1.
     """
     _check_order_args(p, q)
     grp = factorize(q - 1)
     if not grp.complete:
-        raise ValueError(f"cannot certify order: {q - 1} did not factor completely")
+        raise ResourceLimitError(f"cannot certify order: {q - 1} did not factor completely")
     d = q - 1
     for prime, exponent in grp.factors:
         for _ in range(exponent):

@@ -232,10 +232,9 @@ def _enumerate_form(bound: int, pool: list[int], matches, roots):
 
     Each root is (value, sigma(value), factors, exponents): a prime q of
     the ascending pool enters with one exponent of the ascending
-    `exponents`.  Returns the candidate count, the perfect candidates by
-    value, and the pool primes of each candidate.
+    `exponents`.  Returns the perfect candidates by value and the pool
+    primes of each candidate, one entry per candidate.
     """
-    checked = 0
     perfect: list[CandidateRecord] = []
     prime_sets: list[tuple[int, ...]] = []
     for root_value, root_sigma, root_factors, exponents in roots:
@@ -254,13 +253,12 @@ def _enumerate_form(bound: int, pool: list[int], matches, roots):
                     cand_factors = factors + ((q, e),)
                     if not matches(cand_factors):
                         raise AssertionError(f"enumerator left the form at {candidate}")
-                    checked += 1
                     if cand_sigma == 2 * candidate:
                         perfect.append(CandidateRecord(candidate, cand_factors, cand_sigma))
                     cand_qs = qs + (q,)
                     prime_sets.append(cand_qs)
                     stack.append((j + 1, candidate, cand_sigma, cand_factors, cand_qs))
-    return checked, sorted(perfect, key=lambda rec: rec.value), prime_sets
+    return sorted(perfect, key=lambda rec: rec.value), prime_sets
 
 
 def scan_squarefree_form(bound: int) -> ScanReport:
@@ -281,11 +279,11 @@ def scan_squarefree_form(bound: int) -> ScanReport:
         for beta in range(1, top)
         if 5**alpha * 9**beta <= bound
     ]
-    checked, perfect, _ = _enumerate_form(bound, pool, matches_squarefree_form, roots)
+    perfect, prime_sets = _enumerate_form(bound, pool, matches_squarefree_form, roots)
     return ScanReport(
         form=FORM_SQUAREFREE,
         bound=bound,
-        candidates_checked=checked,
+        candidates_checked=len(prime_sets),
         counterexamples=tuple(perfect),
         perfect_found=(),
     )
@@ -319,7 +317,7 @@ def scan_cyclotomic_form(
         for b in range(1, top)
         if 5**a * 9**b * 49 <= bound
     ]
-    checked, perfect, prime_sets = _enumerate_form(bound, pool, matches_cyclotomic_form, roots)
+    perfect, prime_sets = _enumerate_form(bound, pool, matches_cyclotomic_form, roots)
 
     notes: list[tuple[str, str]] = []
     if annotate_goodness:
@@ -337,7 +335,7 @@ def scan_cyclotomic_form(
     return ScanReport(
         form=FORM_CYCLOTOMIC,
         bound=bound,
-        candidates_checked=checked,
+        candidates_checked=len(prime_sets),
         counterexamples=tuple(perfect),
         perfect_found=(),
         notes=tuple(notes),

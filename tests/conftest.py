@@ -12,5 +12,5 @@ def rng():
 
 @pytest.fixture
 def tiny_budget():
-    # forces partial results: almost no trial division, almost no rho
-    return SearchBudget(trial_division_bound=10, rho_iteration_cap=2, max_candidate_bits=64, max_depth=3)
+    # forces incomplete results: almost no trial division, almost no rho
+    return SearchBudget(trial_division_bound=10, rho_iteration_cap=2, max_depth=3)

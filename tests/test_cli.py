@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
 from goodprimes.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _build_parser, main
 from goodprimes.factor import SearchBudget
@@ -40,7 +41,7 @@ def test_good_rejects_composite(capsys):
 
 def test_good_inconclusive_exit_code(capsys):
     code, out, _ = run_cli(
-        capsys, "--depth", "1", "--trial-bound", "2", "--rho-cap", "1", "--max-bits", "8", "good", "13"
+        capsys, "--depth", "1", "--trial-bound", "2", "--rho-cap", "1", "good", "13"
     )
     assert code == EXIT_BUDGET
     assert "inconclusive" in out
@@ -130,7 +131,7 @@ def test_sweep_default_limit_is_160(capsys):
 
 def test_sweep_inconclusive_exit(capsys):
     code, _, _ = run_cli(
-        capsys, "--depth", "1", "--trial-bound", "2", "--rho-cap", "1", "--max-bits", "8", "sweep", "32"
+        capsys, "--depth", "1", "--trial-bound", "2", "--rho-cap", "1", "sweep", "32"
     )
     assert code == EXIT_BUDGET
 
@@ -185,6 +186,14 @@ def test_oracle_bad_args(capsys):
     assert code == EXIT_USAGE
 
 
+def test_oracle_unfactored_group_order_exit(capsys):
+    # q - 1 has a 600-bit part over the rho ceiling: budget, not usage
+    q = 2 * 382 * sympy.nextprime(2**299) * sympy.nextprime(2**300) + 1
+    code, _, err = run_cli(capsys, "oracle", str(q), "1", "3", "2")
+    assert code == EXIT_BUDGET
+    assert err.startswith("resource limit: cannot certify order")
+
+
 def test_factor_text(capsys):
     code, out, _ = run_cli(capsys, "factor", "3783")
     assert code == EXIT_OK
@@ -193,7 +202,7 @@ def test_factor_text(capsys):
 
 def test_factor_budget_exhaustion_exit(capsys):
     code, out, _ = run_cli(
-        capsys, "--trial-bound", "10", "--rho-cap", "2", "--max-bits", "64", "factor",
+        capsys, "--trial-bound", "10", "--rho-cap", "2", "factor",
         str(9576890767 * 9576890821),
     )
     assert code == EXIT_BUDGET
@@ -203,8 +212,13 @@ def test_cache_flag_is_usage_error():
     assert main(["--cache", "x", "factor", "12"]) == EXIT_USAGE
 
 
+def test_max_bits_flag_is_usage_error():
+    # the rho ceiling is fixed at 512 bits; no flag sets it
+    assert main(["--max-bits", "64", "factor", "12"]) == EXIT_USAGE
+
+
 def test_environment_does_not_configure_the_cli(capsys, monkeypatch):
-    # the five flags are the only settings; the CLI reads no environment variable
+    # the four flags are the only settings; the CLI reads no environment variable
     monkeypatch.setenv("GOODPRIMES_FORMAT", "json")
     code, out, _ = run_cli(capsys, "good", "31")
     assert code == EXIT_OK

@@ -4,6 +4,7 @@ import time
 import pytest
 import sympy
 
+from goodprimes import factor
 from goodprimes.arith import primes_up_to
 from goodprimes.factor import (
     DEFAULT_BUDGET,
@@ -91,12 +92,27 @@ def test_partial_results_respect_budget(tiny_budget):
     result.check()
 
 
-def test_bit_cap_forces_partial():
-    n = (2**127 - 1) * (2**131 - 1)  # both parts composite-free? no: 2^127-1 prime, 2^131-1 composite
-    budget = SearchBudget(trial_division_bound=10**4, rho_iteration_cap=10**4, max_candidate_bits=64)
-    result = factorize(n, budget)
-    assert not result.complete
-    assert result.status == "partial"
+def test_rho_ceiling_is_512_bits(monkeypatch):
+    # semiprimes with no prime factor below the trial bound: rho gets the
+    # 512-bit one, spends its cap, and never sees the 513-bit one
+    calls = []
+    split = factor._rho_split
+
+    def spy(n, cap):
+        calls.append(n.bit_length())
+        return split(n, cap)
+
+    monkeypatch.setattr(factor, "_rho_split", spy)
+    budget = SearchBudget(rho_iteration_cap=10)
+    wide = sympy.nextprime(2**256) * sympy.nextprime(2**256 + 2**128)
+    assert wide.bit_length() == 513
+    result = factorize(wide, budget)
+    assert (result.status, result.cofactor, calls) == ("partial", wide, [])
+    result.check()
+    edge = sympy.nextprime(2**255) * sympy.nextprime(2**256)
+    assert edge.bit_length() == 512
+    result = factorize(edge, budget)
+    assert (result.status, result.cofactor, calls) == ("exhausted", edge, [512])
     result.check()
 
 
@@ -134,7 +150,7 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_depth=0)
     # a float is refused by name, not passed on to fail later or never
-    for name in ("trial_division_bound", "rho_iteration_cap", "max_candidate_bits", "max_depth"):
+    for name in ("trial_division_bound", "rho_iteration_cap", "max_depth"):
         with pytest.raises(TypeError, match=name):
             SearchBudget(**{name: 1e6})
 

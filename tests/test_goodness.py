@@ -68,9 +68,10 @@ def test_step_map_rejects_bad_input():
 
 
 def test_step_map_partial_budget_may_be_empty():
-    # with no useful budget the factorization cannot finish
-    starved = SearchBudget(trial_division_bound=2, rho_iteration_cap=1, max_candidate_bits=8)
-    children, complete = cyclotomic_children(3348577, starved)
+    # with no useful budget the factorization cannot finish: of 61^2 + 61 + 1
+    # = 3 * 13 * 97, one Brent round splits off the 3 (gcd(21, m)), not 13 * 97
+    starved = SearchBudget(trial_division_bound=2, rho_iteration_cap=1)
+    children, complete = cyclotomic_children(61, starved)
     assert not complete
     assert children == frozenset()
 
@@ -202,7 +203,8 @@ def test_canonical_paths_match_reference_search():
         SearchBudget(rho_iteration_cap=10),
         SearchBudget(trial_division_bound=100),
         SearchBudget(trial_division_bound=100, rho_iteration_cap=10, max_depth=3),
-        SearchBudget(max_candidate_bits=40),
+        SearchBudget(trial_division_bound=1000, rho_iteration_cap=2**16 + 1),
+        SearchBudget(rho_iteration_cap=1),
     ],
     ids=repr,
 )
@@ -276,7 +278,7 @@ def test_is_good_rejects_small_or_composite():
 
 
 def test_is_good_inconclusive_under_starved_budget():
-    starved = SearchBudget(trial_division_bound=2, rho_iteration_cap=1, max_candidate_bits=8, max_depth=2)
+    starved = SearchBudget(trial_division_bound=2, rho_iteration_cap=1, max_depth=2)
     result = is_good(13, starved)
     assert result.verdict == INCONCLUSIVE
     assert result.certificate is None
@@ -467,7 +469,7 @@ def test_stop_aware_step_keeps_canonical_certificates(monkeypatch):
     # range test, not only the s <= bound shortcut, decides steps
     budgets = [
         SearchBudget(trial_division_bound=100, rho_iteration_cap=10),
-        SearchBudget(max_candidate_bits=40),
+        SearchBudget(trial_division_bound=1000, rho_iteration_cap=2**16 + 1),
         SearchBudget(trial_division_bound=10, rho_iteration_cap=10),
     ]
     decided = []

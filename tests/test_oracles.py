@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from goodprimes.arith import primes_up_to, sigma_prime_power, valuation
+from goodprimes.arith import ResourceLimitError, primes_up_to, sigma_prime_power, valuation
 from goodprimes.goodness import is_good
 from goodprimes.oracles import (
     alpha_exact_valuation,
@@ -63,6 +64,14 @@ def test_witness_factors_the_group_order_once(monkeypatch):
         w = sigma_exact_power(q, b, p, c)
         assert calls == [q - 1]
         assert w.a == order_valuation(p, q)
+
+
+def test_unfactored_group_order_is_a_resource_limit():
+    # q - 1 = 4 * 191 * P * Q, whose 600-bit part P * Q is over the rho ceiling
+    q = 2 * 382 * sympy.nextprime(2**299) * sympy.nextprime(2**300) + 1
+    assert sympy.isprime(q)
+    with pytest.raises(ResourceLimitError, match="did not factor completely"):
+        sigma_exact_power(q, 1, 3, 2)
 
 
 def test_witness_big_exponent_branch_b():
