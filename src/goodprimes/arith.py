@@ -52,7 +52,7 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+    return np.nonzero(sieve)[0].tolist()
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:

@@ -9,7 +9,9 @@ The front end checks no argument itself: the library function that owns
 a rule raises ValueError, and any ValueError or OSError (an unusable -o
 path) becomes exit 2 with one `goodprimes: error:` line on stderr.  The
 four global flags are the only settings; the environment configures
-nothing.
+nothing.  The budget flags reach `good`, `cert`, `sweep`, `scan
+cyclotomic`, `oracle` and `factor`; the sigma-sieve self-checks of the
+scans always use the default budget.
 
 In --format json every result is one canonical JSON record per line, so
 long scans stream and identical inputs produce byte-identical output.
@@ -149,19 +151,18 @@ def _cmd_verify(args, budget) -> int:
 
 def _cmd_sweep(args, budget) -> int:
     report = goodness_sweep(args.limit, budget)
+    counts = report.counts()
     if args.format == "json":
         sys.stdout.write(report.to_json_lines())
     else:
         for entry in report.entries:
             extra = f" depth={entry.depth}" if entry.depth is not None else ""
             print(f"{entry.prime}: {entry.verdict}{extra}")
-        counts = report.counts()
         print(
             f"{len(report.entries)} primes below {args.limit}: "
             f"{counts[GOOD]} good, {counts[NOT_GOOD]} not_good, "
             f"{counts[INCONCLUSIVE]} inconclusive"
         )
-    counts = report.counts()
     if counts[NOT_GOOD]:
         return EXIT_FAIL
     if counts[INCONCLUSIVE]:
@@ -195,7 +196,7 @@ def _cmd_scan(args, budget) -> int:
 
 
 def _cmd_oracle(args, budget) -> int:
-    witness = sigma_exact_power(args.q, args.b, args.p, args.c)
+    witness = sigma_exact_power(args.q, args.b, args.p, args.c, budget)
     if args.format == "json":
         record = {
             "q": dec(witness.q),

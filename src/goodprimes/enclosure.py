@@ -14,7 +14,6 @@ arithmetic is in fractions.Fraction, so the returned interval provably
 contains the true value.
 """
 
-import functools
 from fractions import Fraction
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
@@ -37,11 +36,6 @@ def _atanh_series(z: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
             return 2 * total, 2 * total + tail
 
 
-@functools.cache
-def _log2_enclosure(width: Fraction) -> tuple[Fraction, Fraction]:
-    return _atanh_series(Fraction(1, 3), width)
-
-
 def log_enclosure(x, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
     """Certified (lower, upper) rational bounds on ln(x), x >= 1 rational.
 
@@ -61,7 +55,7 @@ def log_enclosure(x, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fractio
         k += 1
     if k:
         part = width / 2
-        lo2, hi2 = _log2_enclosure(part / k)
+        lo2, hi2 = _atanh_series(Fraction(1, 3), part / k)  # ln 2 = 2 * atanh(1/3)
         lo_r, hi_r = _atanh_series((r - 1) / (r + 1), part)
         return k * lo2 + lo_r, k * hi2 + hi_r
     return _atanh_series((r - 1) / (r + 1), width)

@@ -7,11 +7,10 @@ result is stored between calls, so `factorize` is a pure function of
 (n, budget).
 
 Factors are (prime, exponent) int pairs in ascending prime order, the
-shape `arith.sigma` takes.  Partial results are first-class: when a
-budget runs out the unfinished composite part is reported as a cofactor
-and the status says why the factorization stopped.  Callers that only
-need *some* prime divisors can use what was found; callers that need
-completeness check `status`.
+shape `arith.sigma` takes.  Partial results are first-class: the
+composite part left unsplit is reported as a cofactor.  Callers that
+only need *some* prime divisors can use what was found; callers that
+need completeness check `complete`.
 """
 
 import functools
@@ -22,12 +21,10 @@ from dataclasses import dataclass
 from . import arith
 
 STATUS_COMPLETE = "complete"
-STATUS_PARTIAL = "partial"
 STATUS_EXHAUSTED = "exhausted"
-_STATUSES = (STATUS_COMPLETE, STATUS_PARTIAL, STATUS_EXHAUSTED)
 
 _RHO_BATCH = 128
-_MAX_RHO_BITS = 512  # wider composites are left unsplit ("partial"), never handed to rho
+_MAX_RHO_BITS = 512  # wider composites are left unsplit ("exhausted"), never handed to rho
 
 
 @dataclass(frozen=True)
@@ -68,40 +65,18 @@ class Factorization:
     target: int
     factors: tuple[tuple[int, int], ...]
     cofactor: int
-    status: str
 
     @property
     def complete(self) -> bool:
-        return self.status == STATUS_COMPLETE
+        return self.cofactor == 1
+
+    @property
+    def status(self) -> str:
+        return STATUS_COMPLETE if self.complete else STATUS_EXHAUSTED
 
     @property
     def prime_divisors(self) -> frozenset[int]:
         return frozenset(p for p, _ in self.factors)
-
-    def check(self) -> None:
-        """Re-verify all structural invariants; raises ValueError on breach."""
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if (self.cofactor == 1) != (self.status == STATUS_COMPLETE):
-            raise ValueError("status/cofactor mismatch")
-        product = self.cofactor
-        last = 0
-        for p, e in self.factors:
-            if e < 1:
-                raise ValueError(f"exponent < 1 on {p}^{e}")
-            # then p**e > target: refuse before computing it
-            if e >= self.target.bit_length():
-                raise ValueError(f"exponent of {p}^{e} too large for {self.target}")
-            if p <= last:
-                raise ValueError("factors not sorted by prime")
-            last = p
-            if not arith.is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            product *= p**e
-        if product != self.target:
-            raise ValueError(f"factors do not reconstruct {self.target}")
-        if self.cofactor > 1 and arith.is_prime(self.cofactor):
-            raise ValueError(f"cofactor {self.cofactor} is prime, should be a factor")
 
     def to_line(self) -> str:
         mid = " ".join(f"{p}^{e}" for p, e in self.factors)
@@ -191,7 +166,7 @@ def _rho_split(n: int, cap: int) -> int | None:
 
 
 def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
-    """Factor n within the given budget; never fails, may return partial.
+    """Factor n within the given budget; never fails, may return incomplete.
 
     Completeness is guaranteed whenever the second-largest prime factor of n is at most
     the trial division bound, and holds in practice far beyond that
@@ -199,48 +174,28 @@ def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
     below the square of the iteration cap).  Status values:
 
     - "complete":  cofactor 1, all prime powers certified.
-    - "partial":   a composite part wider than 512 bits was not
-                   attacked with rho.
-    - "exhausted": rho hit its iteration cap on some composite part.
+    - "exhausted": a composite part is left as the cofactor: rho hit its
+                   iteration cap on it, or it is wider than 512 bits and
+                   was never handed to rho.
     """
     if n < 2:
         raise ValueError(f"factorize needs n >= 2, got {n}")
 
     counts: dict[int, int] = {}
-    exhausted = False
     leftovers: list[int] = []
-
     cof = _trial_divide(n, budget.trial_division_bound, counts)
-    if cof > 1:
-        pending = [cof]
-        while pending:
-            pending.sort(reverse=True)
-            m = pending.pop()  # smallest first, deterministic
-            if arith.is_prime(m):
-                counts[m] = counts.get(m, 0) + 1
-                continue
-            if m.bit_length() > _MAX_RHO_BITS:
-                leftovers.append(m)
-                continue
+    pending = [cof] if cof > 1 else []
+    while pending:
+        pending.sort(reverse=True)
+        m = pending.pop()  # smallest first, deterministic
+        if arith.is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+            continue
+        divisor = None
+        if m.bit_length() <= _MAX_RHO_BITS:
             divisor = _rho_split(m, budget.rho_iteration_cap)
-            if divisor is None:
-                exhausted = True
-                leftovers.append(m)
-                continue
+        if divisor is None:
+            leftovers.append(m)
+        else:
             pending.extend((divisor, m // divisor))
-
-    cofactor = 1
-    for m in leftovers:
-        cofactor *= m
-    if cofactor == 1:
-        status = STATUS_COMPLETE
-    elif exhausted:
-        status = STATUS_EXHAUSTED
-    else:
-        status = STATUS_PARTIAL
-    return Factorization(
-        target=n,
-        factors=tuple(sorted(counts.items())),
-        cofactor=cofactor,
-        status=status,
-    )
+    return Factorization(n, tuple(sorted(counts.items())), math.prod(leftovers))

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .arith import ResourceLimitError, cyclotomic_value, is_prime, sigma_prime_power, valuation
 from .enclosure import DEFAULT_WIDTH, log_enclosure
-from .factor import factorize
+from .factor import DEFAULT_BUDGET, SearchBudget, factorize
 
 # direct sigma cross-check is skipped above this many digits of sigma(p^c)
 _CROSSCHECK_DIGIT_LIMIT = 10**6
@@ -51,14 +51,15 @@ class DivisibilityWitness:
     holds: bool
 
 
-def multiplicative_order(p: int, q: int) -> int:
+def multiplicative_order(p: int, q: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:
     """Smallest d >= 1 with p**d = 1 (mod q), for distinct primes, q odd.
 
-    Found by factoring q - 1 (ResourceLimitError if that stays incomplete)
-    and descending through its divisors, so d is exact and divides q - 1.
+    Found by factoring q - 1 within the budget (ResourceLimitError if that
+    stays incomplete) and descending through its divisors, so d is exact
+    and divides q - 1.
     """
     _check_order_args(p, q)
-    grp = factorize(q - 1)
+    grp = factorize(q - 1, budget)
     if not grp.complete:
         raise ResourceLimitError(f"cannot certify order: {q - 1} did not factor completely")
     d = q - 1
@@ -92,16 +93,18 @@ def _check_order_args(p: int, q: int) -> None:
         raise ValueError(f"base and modulus must be distinct, both are {p}")
 
 
-def sigma_exact_power(q: int, b: int, p: int, c: int) -> DivisibilityWitness:
+def sigma_exact_power(
+    q: int, b: int, p: int, c: int, budget: SearchBudget = DEFAULT_BUDGET
+) -> DivisibilityWitness:
     """Does q^b exactly divide sigma(p^c)?  (q odd prime, p prime != q.)
 
-    Decided by the order criterion; when sigma(p^c) is small enough the
-    valuation is also computed directly and any disagreement raises,
-    making the oracle self-checking.
+    Decided by the order criterion, with q - 1 factored within the budget;
+    when sigma(p^c) is small enough the valuation is also computed directly
+    and any disagreement raises, making the oracle self-checking.
     """
     if b < 1 or c < 1:
         raise ValueError(f"need b >= 1 and c >= 1, got b={b}, c={c}")
-    d = multiplicative_order(p, q)  # validates p, q
+    d = multiplicative_order(p, q, budget)  # validates p, q
     a = _exact_power(p, q, d)
     if p % q == 1:
         branch = CONGRUENT_1

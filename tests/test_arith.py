@@ -68,6 +68,7 @@ def test_primes_up_to_matches_sympy():
     assert primes_up_to(200) == list(sympy.primerange(2, 201))
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
+    assert type(primes_up_to(100)[0]) is int
 
 
 def test_primes_up_to_returns_a_fresh_list():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import sympy
 
+from goodprimes import factor
 from goodprimes.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _build_parser, main
 from goodprimes.factor import SearchBudget
 from goodprimes.goodness import goodness_sweep
@@ -194,6 +195,19 @@ def test_oracle_unfactored_group_order_exit(capsys):
     assert err.startswith("resource limit: cannot certify order")
 
 
+def test_oracle_honours_the_budget_flags(capsys):
+    # q - 1 = 2 * 1073741827 * 2147501669: out of reach of trial division
+    # to 2 and one rho iteration, within reach of the default budget
+    q = 4611724731115218527
+    budget = ["--rho-cap", "1", "--trial-bound", "2"]
+    code, _, err = run_cli(capsys, *budget, "oracle", str(q), "1", "3", "2")
+    assert code == EXIT_BUDGET
+    assert err.startswith("resource limit: cannot certify order")
+    code, out, _ = run_cli(capsys, "oracle", str(q), "1", "3", "2")
+    assert code == EXIT_OK
+    assert "d=2305862365557609263" in out
+
+
 def test_factor_text(capsys):
     code, out, _ = run_cli(capsys, "factor", "3783")
     assert code == EXIT_OK
@@ -206,6 +220,18 @@ def test_factor_budget_exhaustion_exit(capsys):
         str(9576890767 * 9576890821),
     )
     assert code == EXIT_BUDGET
+
+
+def test_factor_over_the_rho_ceiling_is_exhausted(capsys, monkeypatch):
+    # a 513-bit semiprime is left whole, without a single rho call
+    calls = []
+    monkeypatch.setattr(factor, "_rho_split", lambda n, cap: calls.append(n))
+    wide = sympy.nextprime(2**256) * sympy.nextprime(2**256 + 2**128)
+    code, out, _ = run_cli(capsys, "--format", "json", "factor", str(wide))
+    assert code == EXIT_BUDGET
+    record = json.loads(out)
+    assert (record["status"], record["factors"], record["cofactor"]) == ("exhausted", [], str(wide))
+    assert calls == []
 
 
 def test_cache_flag_is_usage_error():

@@ -1,11 +1,11 @@
+import dataclasses
 import math
-import time
 
 import pytest
 import sympy
 
 from goodprimes import factor
-from goodprimes.arith import primes_up_to
+from goodprimes.arith import is_prime, primes_up_to
 from goodprimes.factor import (
     DEFAULT_BUDGET,
     Factorization,
@@ -56,11 +56,10 @@ def test_reconstruction_random(rng):
         n = rng.randint(2, 10**12)
         result = factorize(n)
         assert result.complete, n
-        product = 1
-        for p, e in result.factors:
-            product *= p**e
-        assert product == n
-        result.check()
+        primes = [p for p, _ in result.factors]
+        assert primes == sorted(set(primes)), n
+        assert all(is_prime(p) for p in primes), n
+        assert math.prod(p**e for p, e in result.factors) == n
 
 
 def test_determinism():
@@ -87,9 +86,8 @@ def test_partial_results_respect_budget(tiny_budget):
     p, q = 9576890767, 9576890821
     result = factorize(p * q, tiny_budget)
     assert not result.complete
-    assert result.status in ("partial", "exhausted")
+    assert result.status == "exhausted"
     assert result.cofactor == p * q
-    result.check()
 
 
 def test_rho_ceiling_is_512_bits(monkeypatch):
@@ -107,13 +105,11 @@ def test_rho_ceiling_is_512_bits(monkeypatch):
     wide = sympy.nextprime(2**256) * sympy.nextprime(2**256 + 2**128)
     assert wide.bit_length() == 513
     result = factorize(wide, budget)
-    assert (result.status, result.cofactor, calls) == ("partial", wide, [])
-    result.check()
+    assert (result.status, result.cofactor, calls) == ("exhausted", wide, [])
     edge = sympy.nextprime(2**255) * sympy.nextprime(2**256)
     assert edge.bit_length() == 512
     result = factorize(edge, budget)
     assert (result.status, result.cofactor, calls) == ("exhausted", edge, [512])
-    result.check()
 
 
 def test_monotonicity_in_budget():
@@ -155,31 +151,14 @@ def test_budget_validation():
             SearchBudget(**{name: 1e6})
 
 
-def test_factorization_check_catches_corruption():
-    good = factorize(3783)
-    bad = Factorization(good.target, good.factors, 2, "partial")
-    with pytest.raises(ValueError):
-        bad.check()
-    bad = Factorization(3784, good.factors, 1, "complete")
-    with pytest.raises(ValueError):
-        bad.check()
-    bad = Factorization(3783, ((3, 1), (1261, 1)), 1, "complete")
-    with pytest.raises(ValueError):
-        bad.check()
+def test_factorization_is_target_factors_cofactor():
+    # status is derived from the cofactor, so the two cannot disagree
+    assert tuple(f.name for f in dataclasses.fields(Factorization)) == ("target", "factors", "cofactor")
+    assert Factorization(3783, ((3, 1), (13, 1), (97, 1)), 1).status == "complete"
+    assert Factorization(3783, ((3, 1),), 1261).status == "exhausted"
 
 
-def test_cache_skips_huge_exponent_promptly():
-    # 5^(10^12) would need about 290 GB to compute: check must refuse the
-    # record from its exponent alone, with a message that does not print it
-    bad = Factorization(10, ((5, 10**12),), 1, "complete")
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="too large") as caught:
-        bad.check()
-    assert time.perf_counter() - start < 5
-    assert len(str(caught.value)) < 100
-
-
-def test_cached_record_stays_with_its_cache(tiny_budget):
+def test_no_result_is_kept_between_calls(tiny_budget):
     # no record is kept between calls: a complete factorization under the
     # default budget must not change what a later call computes under a
     # budget too small to finish it
