@@ -41,14 +41,12 @@ from .goodness import (
 from .oracles import (
     DivisibilityWitness,
     alpha_exact_valuation,
-    alpha_product,
     beta_feasible,
     cyclotomic_divides_sigma,
     forced_good_divisor,
     forced_prime_count,
     multiplicative_order,
     omega_upper_bound,
-    order_valuation,
     sigma_coprime_to_five,
     sigma_exact_power,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "SearchBudget",
     "SweepReport",
     "alpha_exact_valuation",
-    "alpha_product",
     "beta_feasible",
     "cyclotomic_children",
     "cyclotomic_divides_sigma",
@@ -91,7 +88,6 @@ __all__ = [
     "log_enclosure",
     "multiplicative_order",
     "omega_upper_bound",
-    "order_valuation",
     "primality",
     "primes_up_to",
     "scan_105",

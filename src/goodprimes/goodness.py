@@ -103,10 +103,6 @@ class ClosureState:
         return frozenset(self.parents)
 
     @property
-    def ordered_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.parents))
-
-    @property
     def saturated(self) -> bool:
         """Nothing new appeared and every factorization so far finished."""
         return not self.frontier and self.complete

@@ -8,12 +8,11 @@ power q^b exactly divides sigma(p^c):
                       b = a + v_q(c + 1), where d is the order of p
                       mod q and a the exact power of q in p^d - 1.
 
-The order machinery lives here: `multiplicative_order` and
-`order_valuation` compute d and a exactly from a complete factorization
-of q - 1.  `sigma_exact_power` evaluates the criterion and, whenever the
-numbers are small enough to afford it, also computes the valuation
-directly and cross-checks the two routes, returning a witness that
-carries both.
+The order machinery lives here: `multiplicative_order` computes d
+exactly from a complete factorization of q - 1.  `sigma_exact_power`
+evaluates the criterion and, whenever the numbers are small enough to
+afford it, also computes the valuation directly and cross-checks the
+two routes, returning a witness that carries d and a.
 
 The remaining functions are small numeric facts used by the
 non-existence arguments for special multiplicative forms: the bound on
@@ -72,12 +71,8 @@ def multiplicative_order(p: int, q: int, budget: SearchBudget = DEFAULT_BUDGET) 
     return d
 
 
-def order_valuation(p: int, q: int) -> int:
-    """The e >= 1 with q**e exactly dividing p**d - 1, d the order of p mod q."""
-    return _exact_power(p, q, multiplicative_order(p, q))
-
-
 def _exact_power(p: int, q: int, d: int) -> int:
+    """The e >= 1 with q**e exactly dividing p**d - 1, d the order of p mod q."""
     e = 1
     while pow(p, d, q ** (e + 1)) == 1:
         e += 1
@@ -136,7 +131,8 @@ def sigma_coprime_to_five(p: int, beta: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if p % 5 in (0, 1):
         raise ValueError(f"p must not be 0 or 1 mod 5, got p={p}")
-    assert multiplicative_order(p, 5) in (2, 4)
+    if multiplicative_order(p, 5) not in (2, 4):
+        raise AssertionError(f"the order of {p} mod 5 should be 2 or 4")
     ok = sigma_prime_power(p, 2 * beta) % 5 != 0
     if p == 3:
         ok = ok and pow(3, 2 * beta + 1, 5) in (2, 3)
@@ -204,13 +200,6 @@ def beta_feasible(beta: int) -> bool:
         if lhs > hi * weight:
             return False
         width /= 2
-
-
-def alpha_product(b: int, gamma: int) -> int:
-    """The special-prime exponent forced by b copies of 5 across gamma primes."""
-    if b < 1 or gamma < 1:
-        raise ValueError(f"need b >= 1 and gamma >= 1, got b={b}, gamma={gamma}")
-    return b * gamma
 
 
 def alpha_exact_valuation(alpha: int, beta: int) -> bool:

@@ -189,7 +189,7 @@ def _structured_outputs(desk_scans) -> str:
     # criterion 1: member sets per depth
     for state in _chain_states_13():
         lines.append(
-            canonical_dumps({"depth": str(state.depth), "members": [str(m) for m in state.ordered_members]})
+            canonical_dumps({"depth": str(state.depth), "members": [str(m) for m in sorted(state.members)]})
         )
     # criterion 2
     result = is_good(31)

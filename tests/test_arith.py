@@ -20,7 +20,7 @@ from goodprimes.arith import (
     valuation,
 )
 from goodprimes.factor import SearchBudget, factorize
-from goodprimes.oracles import multiplicative_order, order_valuation
+from goodprimes.oracles import multiplicative_order, sigma_exact_power
 
 # ---- independent oracles ----------------------------------------------------
 
@@ -97,6 +97,66 @@ def test_arith_imports_nothing_from_the_package():
             continue
         for name in names:
             assert name.split(".")[0] != "goodprimes", f"{name} imported at line {node.lineno}"
+
+
+def test_package_self_checks_survive_optimisation():
+    # `python -O` strips bare asserts; a self-check must raise AssertionError itself
+    for path in sorted(Path(arith.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert), f"bare assert in {path.name} at line {node.lineno}"
+
+
+PUBLIC_NAMES = [
+    "ClosureState",
+    "DEFAULT_BUDGET",
+    "DivisibilityWitness",
+    "Factorization",
+    "GoodnessCertificate",
+    "GoodnessResult",
+    "ScanReport",
+    "SearchBudget",
+    "SweepReport",
+    "alpha_exact_valuation",
+    "beta_feasible",
+    "cyclotomic_children",
+    "cyclotomic_divides_sigma",
+    "cyclotomic_value",
+    "expand",
+    "factorize",
+    "forced_good_divisor",
+    "forced_prime_count",
+    "goodness_sweep",
+    "initial_state",
+    "is_goal_prime",
+    "is_good",
+    "is_prime",
+    "log_enclosure",
+    "multiplicative_order",
+    "omega_upper_bound",
+    "primality",
+    "primes_up_to",
+    "scan_105",
+    "scan_cyclotomic_form",
+    "scan_odd_perfect",
+    "scan_squarefree_form",
+    "sieve_sigma",
+    "sigma",
+    "sigma_coprime_to_five",
+    "sigma_exact_power",
+    "sigma_prime_power",
+    "valuation",
+    "verify_certificate",
+]
+
+
+def test_public_surface_is_pinned():
+    # any export added or removed shows up here as a diff
+    import goodprimes
+
+    assert len(PUBLIC_NAMES) == 39 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert goodprimes.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(goodprimes, name) is not None, name
 
 
 def test_is_prime_small_range_exhaustive():
@@ -277,9 +337,10 @@ def test_order_examples():
 
 
 def test_order_valuation_examples():
-    assert order_valuation(7, 5) == 2  # 7^4 - 1 = 2400 = 2^5 * 3 * 5^2
-    assert order_valuation(2, 7) == 1  # 2^3 - 1 = 7
-    assert order_valuation(11, 5) == 1  # 11 - 1 = 10
+    # the witness carries a, the exact power of q in p^d - 1
+    assert sigma_exact_power(5, 1, 7, 1).a == 2  # 7^4 - 1 = 2400 = 2^5 * 3 * 5^2
+    assert sigma_exact_power(7, 1, 2, 1).a == 1  # 2^3 - 1 = 7
+    assert sigma_exact_power(5, 1, 11, 1).a == 1  # 11 - 1 = 10
 
 
 def test_order_properties_exhaustive_small():
@@ -293,7 +354,7 @@ def test_order_properties_exhaustive_small():
             d = multiplicative_order(p, q)
             assert (q - 1) % d == 0
             assert d == order_naive(p, q)
-            a = order_valuation(p, q)
+            a = sigma_exact_power(q, 1, p, 1).a
             assert a >= 1
             # direct exponentiation check of q^a || p^d - 1
             assert valuation_naive(q, p**d - 1) == a

@@ -8,13 +8,11 @@ from goodprimes.arith import ResourceLimitError, primes_up_to, sigma_prime_power
 from goodprimes.goodness import is_good
 from goodprimes.oracles import (
     alpha_exact_valuation,
-    alpha_product,
     beta_feasible,
     cyclotomic_divides_sigma,
     forced_good_divisor,
     forced_prime_count,
     omega_upper_bound,
-    order_valuation,
     sigma_coprime_to_five,
     sigma_exact_power,
 )
@@ -63,7 +61,8 @@ def test_witness_factors_the_group_order_once(monkeypatch):
         calls.clear()
         w = sigma_exact_power(q, b, p, c)
         assert calls == [q - 1]
-        assert w.a == order_valuation(p, q)
+        assert (p**w.d - 1) % q**w.a == 0
+        assert (p**w.d - 1) % q ** (w.a + 1) != 0
 
 
 def test_unfactored_group_order_is_a_resource_limit():
@@ -158,18 +157,13 @@ def test_beta_feasible_monotone_false_tail():
         last = now
 
 
-def test_alpha_product_and_valuation():
-    assert alpha_product(1, 17) == 17
-    assert alpha_product(2, 4) == 8
-    assert alpha_product(1, 1) == 1
+def test_alpha_exact_valuation():
     # exact 3-power checks: v3(alpha + 1) must equal 2 beta - 1
     assert alpha_exact_valuation(2, 1)  # v3(3) = 1
     assert alpha_exact_valuation(5, 1)  # v3(6) = 1
     assert not alpha_exact_valuation(17, 1)  # v3(18) = 2
     assert not alpha_exact_valuation(8, 1)  # v3(9) = 2
     assert alpha_exact_valuation(26, 2)  # v3(27) = 3
-    with pytest.raises(ValueError):
-        alpha_product(0, 3)
 
 
 def test_cyclotomic_divides_sigma_examples():
