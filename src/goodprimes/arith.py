@@ -6,9 +6,10 @@ divisor sums of prime powers and of factorizations given as
 floats enter any computation.  The module imports nothing from the rest
 of the package.
 
-Primality is deterministic (fixed strong-pseudoprime witness set) for
-n below ~3.3e24, which comfortably covers 64-bit inputs.  Above that
-bound a strong base-2 test combined with a strong Lucas test is used;
+Primality is deterministic for n below ~3.3e24, which covers 64-bit inputs:
+below psi_k, the least strong pseudoprime to the first k prime bases, those
+k bases decide (`_MR_TIERS`).  Above that bound a strong base-2 test combined
+with a strong Lucas test is used;
 `primality` exposes the confidence level, `is_prime` collapses it to a
 boolean.  Every sieve is bounded by `SIEVE_BOUND_LIMIT` (1e8): a larger
 one raises `ResourceLimitError` before anything is allocated.
@@ -25,9 +26,16 @@ SIEVE_BOUND_LIMIT = 10**8
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
-# First 13 primes are a proven-sufficient witness set below this bound.
+# (psi_k, k), ascending: n < psi_k is decided by the first k of _MR_BASES (Pomerance,
+# Selfridge and Wagstaff 1980; Jaeschke 1993; Sorenson and Webster 2015 for k = 12, 13).
+# No base reaches 47, so trial division by _SMALL_PRIMES leaves none that is 0 mod n.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_TIERS = (
+    (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4), (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6), (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12), (_MR_DETERMINISTIC_BOUND, 13),
+)
 
 COMPOSITE = "composite"
 PRIME = "prime"
@@ -134,8 +142,9 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def primality(n: int) -> str:
     """Primality verdict with a confidence flag.
 
-    Returns "composite" (definitely not prime; also covers n < 2),
-    "prime" (deterministic, n below ~3.3e24), or "probable_prime"
+    Returns "composite" (definitely not prime; also covers n < 2), "prime"
+    (deterministic below ~3.3e24: n below psi_k is decided by the first k
+    primes as Miller-Rabin bases, see `_MR_TIERS`), or "probable_prime"
     (strong base-2 plus strong Lucas test, no known counterexample).
     """
     if n < 2:
@@ -145,11 +154,12 @@ def primality(n: int) -> str:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return COMPOSITE
-    if n < _MR_DETERMINISTIC_BOUND:
-        for base in _MR_BASES:
-            if not _strong_probable_prime(n, base):
-                return COMPOSITE
-        return PRIME
+    for edge, k in _MR_TIERS:
+        if n < edge:
+            for base in _MR_BASES[:k]:
+                if not _strong_probable_prime(n, base):
+                    return COMPOSITE
+            return PRIME
     if not _strong_probable_prime(n, 2):
         return COMPOSITE
     if not _strong_lucas_probable_prime(n):

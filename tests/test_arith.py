@@ -198,6 +198,43 @@ def test_primality_agrees_with_sympy_around_deterministic_bound(rng):
         assert is_prime(n) == sympy.isprime(n), n
 
 
+def test_each_witness_tier_edge_is_a_strong_pseudoprime_to_its_bases():
+    # psi_k passes the first k bases, so no edge can be raised without a
+    # composite below it being called prime.
+    edges = [edge for edge, _ in arith._MR_TIERS]
+    assert all(a < b for a, b in zip(edges, edges[1:]))
+    assert edges[-1] == arith._MR_DETERMINISTIC_BOUND
+    # trial division runs first, so no base can be 0 mod a surviving n
+    assert max(arith._MR_BASES) < max(arith._SMALL_PRIMES)
+    for edge, k in arith._MR_TIERS:
+        assert not sympy.isprime(edge), edge
+        for base in arith._MR_BASES[:k]:
+            assert arith._strong_probable_prime(edge, base), (edge, base)
+        assert not is_prime(edge), edge
+
+
+def test_primality_agrees_with_sympy_in_every_witness_tier(rng):
+    lower = 2
+    for edge, _ in arith._MR_TIERS:
+        odd = [rng.randrange(lower, edge - 1) | 1 for _ in range(200)]
+        # drawn the way sympy.randprime draws, but from the seeded rng
+        primes = [sympy.nextprime(rng.randrange(lower - 1, edge)) for _ in range(20)]
+        primes = [p if p < edge else sympy.prevprime(edge) for p in primes]
+        # semiprimes with both factors near sqrt(edge): the hardest inputs
+        # for a short witness set
+        root = math.isqrt(edge)
+        semiprimes = []
+        for _ in range(20):
+            p = sympy.prevprime(root - rng.randrange(root // 64 + 1))
+            semiprimes.append(p * sympy.prevprime(edge // p))
+        for n in odd + primes + semiprimes:
+            assert lower <= n < edge, (n, edge)
+            assert is_prime(n) == sympy.isprime(n), n
+        assert all(is_prime(p) for p in primes)
+        assert not any(is_prime(n) for n in semiprimes)
+        lower = edge
+
+
 # ---- valuation --------------------------------------------------------------
 
 
