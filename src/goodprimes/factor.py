@@ -1,10 +1,10 @@
 """Integer factorization with explicit effort budgets.
 
-The algorithm stack is trial division up to a configurable bound followed
-by Brent's variant of the Pollard rho method on whatever composite is
-left.  Rho uses the fixed constant schedule c = 1, 2, 3, ..., and no
-result is stored between calls, so `factorize` is a pure function of
-(n, budget).
+Trial division up to a configurable bound runs first; each composite left
+gets a short run of Brent's variant of the Pollard rho method, Lenstra's
+elliptic-curve method (ECM) and the full rho run.  Rho walks c = 1, 2, 3,
+..., ECM the curve seeds sigma = 6, 7, 8, ..., and no result is stored
+between calls, so `factorize` is a pure function of (n, budget).
 
 Factors are (prime, exponent) int pairs in ascending prime order, the
 shape `arith.sigma` takes.  Partial results are first-class: the
@@ -25,6 +25,10 @@ STATUS_EXHAUSTED = "exhausted"
 
 _RHO_BATCH = 128
 _MAX_RHO_BITS = 512  # wider composites are left unsplit ("exhausted"), never handed to rho
+_QUICK_CAP = 2**16  # rho's first pass (Brent runs 2^17 - 2 on a part that does not split)
+_ECM_CURVES = 100  # ECM runs only under a rho cap above _QUICK_CAP
+_ECM_B1, _ECM_B2 = 2000, 150_000  # stage 1 and stage 2 bounds
+_ECM_D = 2310  # 2*3*5*7*11: stage 2 meets a prime p as m*D +- j with gcd(j, D) = 1
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,8 @@ class SearchBudget:
 
     Defaults: trial division to 1e6, 1e7 rho iterations per composite,
     closure depth 12.  No budget hands rho a composite over 512 bits.
+    A rho cap above 2^16 also buys up to 100 ECM curves per composite,
+    between the first 2^16 rho iterations and the full rho run.
 
     Brent's rho checks `rho_iteration_cap` only at the end of a doubling
     round, so an attempt that finds no divisor spends the smallest
@@ -165,18 +171,85 @@ def _rho_split(n: int, cap: int) -> int | None:
     return None
 
 
+def _xadd(p, q, diff, n):
+    """x-only P + Q on a Montgomery curve, given P - Q; points are (X, Z)."""
+    u = (p[0] - p[1]) * (q[0] + q[1]) % n
+    v = (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+def _xdbl(p, a24, n):
+    """x-only 2P on the Montgomery curve with a24 = (A + 2) / 4."""
+    s, d = (p[0] + p[1]) ** 2 % n, (p[0] - p[1]) ** 2 % n
+    return s * d % n, (s - d) * (d + a24 * (s - d)) % n
+
+
+def _ladder(k, p, a24, n):
+    r0, r1 = p, _xdbl(p, a24, n)  # kP, k >= 1, by Montgomery's ladder: R1 - R0 = P throughout
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            r0, r1 = _xadd(r1, r0, p, n), _xdbl(r1, a24, n)
+        else:
+            r0, r1 = _xdbl(r0, a24, n), _xadd(r1, r0, p, n)
+    return r0
+
+
+def _ecm_split(n: int) -> int | None:
+    """Find a nontrivial divisor of odd composite n with Lenstra's ECM.
+
+    Montgomery curves from Suyama's parametrisation with the seeds
+    sigma = 6, 7, 8, ...; stage 1 multiplies the start point by every
+    prime power up to B1, and a baby-step giant-step stage 2 finds a group
+    order with one more prime up to B2.  A curve whose gcd is n is skipped.
+    """
+    k = math.lcm(*range(1, _ECM_B1 + 1))
+    is_p = bytearray(_ECM_B2 + 2 * _ECM_D)
+    for p in arith.primes_up_to(len(is_p) - 1):
+        is_p[p] = 1
+    js = [j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1]
+    for sigma in range(6, 6 + _ECM_CURVES):
+        u, v = sigma * sigma - 5, 4 * sigma
+        den = 16 * u**3 * v
+        g = math.gcd(den, n)
+        if g == 1:
+            a24 = (v - u) ** 3 * (3 * u + v) * pow(den, -1, n) % n
+            q = _ladder(k, (u**3 % n, v**3 % n), a24, n)
+            g = math.gcd(q[1], n)
+        if g == 1:
+            # a prime m*D +- j dividing Q's order mod p | n makes x(mDQ) = x(jQ) mod p
+            two = _xdbl(q, a24, n)
+            odd = [q, _xadd(two, q, q, n)]
+            while len(odd) < _ECM_D // 4:
+                odd.append(_xadd(odd[-1], two, odd[-2], n))
+            step = _ladder(_ECM_D, q, a24, n)
+            acc, (gx, gz), after = 1, step, _xdbl(step, a24, n)
+            for m in range(1, _ECM_B2 // _ECM_D + 2):
+                for j in js:
+                    if is_p[m * _ECM_D - j] or is_p[m * _ECM_D + j]:
+                        bx, bz = odd[j // 2]
+                        acc = acc * (gx * bz - bx * gz) % n
+                (gx, gz), after = after, _xadd(after, step, (gx, gz), n)
+            g = math.gcd(acc, n)
+        if 1 < g < n:
+            return g
+    return None
+
+
 def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n within the given budget; never fails, may return incomplete.
 
     Completeness is guaranteed whenever the second-largest prime factor of n is at most
     the trial division bound, and holds in practice far beyond that
     (rho splits anything whose second-largest prime factor is roughly
-    below the square of the iteration cap).  Status values:
+    below the square of the iteration cap).  Each composite part gets rho
+    with a cap of min(cap, 2^16), then, if cap > 2^16, ECM and the full rho
+    run from c = 1.  So the 2^16 pass is a prefix of every larger budget,
+    and a part ECM does not split gets the whole rho run.  Status values:
 
     - "complete":  cofactor 1, all prime powers certified.
-    - "exhausted": a composite part is left as the cofactor: rho hit its
-                   iteration cap on it, or it is wider than 512 bits and
-                   was never handed to rho.
+    - "exhausted": a composite part is left as the cofactor: rho (and
+                   ECM, under a cap above 2^16) failed on it, or it is
+                   wider than 512 bits and was never handed to either.
     """
     if n < 2:
         raise ValueError(f"factorize needs n >= 2, got {n}")
@@ -191,9 +264,11 @@ def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
         if arith.is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        divisor = None
+        divisor, cap = None, budget.rho_iteration_cap
         if m.bit_length() <= _MAX_RHO_BITS:
-            divisor = _rho_split(m, budget.rho_iteration_cap)
+            divisor = _rho_split(m, min(cap, _QUICK_CAP))
+            if divisor is None and cap > _QUICK_CAP:
+                divisor = _ecm_split(m) or _rho_split(m, cap)
         if divisor is None:
             leftovers.append(m)
         else:

@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import arith
-from .factor import DEFAULT_BUDGET, SearchBudget, factorize
+from .factor import _QUICK_CAP, DEFAULT_BUDGET, SearchBudget, factorize
 from .jsonio import canonical_dumps, dec, undec
 
 GOAL_MODULUS = 7
@@ -50,7 +50,6 @@ NOT_GOOD = "not_good"
 INCONCLUSIVE = "inconclusive"
 
 _FORBIDDEN_MEMBERS = frozenset({2, 3, 5})
-_QUICK_CAP = 2**16  # first rho cap of a step with a stop (Brent runs 2^17 - 2 on a part that does not split)
 _SEGMENT = 2**17  # k per sieved segment in `_no_factor_between`
 
 
@@ -166,12 +165,13 @@ def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[Closure
     and return it with the state, which then ends on a partial layer.
 
     With `stop`, rho first gets a cap of 2^16 iterations (2^17 - 2 on a
-    part that does not split).  If that falls short at s, the first new
-    child with `stop`, trial division found every prime to its bound; so
-    if the unfound part has no prime divisor from there to s, every prime
-    below s was found.  A larger cap repeats each split of a smaller one,
-    so the full budget hits s too, and the step counts as complete.
-    Otherwise x is factored with the budget.
+    part that does not split) and no ECM.  If that falls short at s, the
+    first new child with `stop`, trial division found every prime to its
+    bound; so if the unfound part has no prime divisor from there to s,
+    every prime below s was found.  Any larger cap runs those same 2^16
+    rho iterations on each part before ECM and its full run, so it
+    repeats each split of the quick pass and hits s too, and the step
+    counts as complete.  Otherwise x is factored with the budget.
     """
     complete = state.complete
     parents = dict(state.parents)

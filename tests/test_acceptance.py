@@ -145,6 +145,12 @@ def test_criterion_08_desk_scale_scans(desk_scans):
     _announce(8, "bounded non-existence scans are clean", ok)
 
 
+def test_cyclotomic_scan_1e10_digest(desk_scans):
+    # the aim-1 scan, pinned alone so that a change to it is named
+    digest = hashlib.sha256(desk_scans[2].to_json().encode()).hexdigest()
+    assert digest == "47fea4e66b916f3538490ed58db6ee991e57d5eb309b31166570dee7fea6ae89"
+
+
 def _tamper(value: int) -> int:
     return value ^ 1
 

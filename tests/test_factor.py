@@ -176,3 +176,56 @@ def test_rho_cap_is_checked_per_doubling_round():
     assert _brent(n, 1, 4096) == (None, 8190)
     cap = DEFAULT_BUDGET.rho_iteration_cap
     assert min(2**j - 2 for j in range(64) if 2**j - 2 >= cap) == 2**24 - 2 == 16_777_214
+
+
+# x^2 + x + 1 for these x leaves a 92-, 98- and 76-bit composite after trial
+# division and 2^16 rho iterations: the two hard steps of the 1e10
+# cyclotomic scan and one root of the certify pool
+HARD_ROOTS = (88494794232391, 753133180286341, 1217689472431)
+
+
+def quick_leftover(x):
+    result = factorize(x * x + x + 1, SearchBudget(rho_iteration_cap=factor._QUICK_CAP))
+    assert not is_prime(result.cofactor) and result.cofactor > 1, x
+    return result.cofactor
+
+
+def test_ecm_splits_hard_leftovers_and_semiprimes(rng):
+    composites = [quick_leftover(x) for x in HARD_ROOTS]
+    # with B1 = 2000 a 56-bit prime already takes most of the 100 curves
+    for bits in ((40, 60), (46, 54), (52, 52)):
+        composites.append(math.prod(sympy.nextprime(rng.getrandbits(b)) for b in bits))
+    for m in composites:
+        divisor = factor._ecm_split(m)
+        assert divisor is not None and 1 < divisor < m and m % divisor == 0, m
+        assert dict(factorize(m).factors) == sympy.factorint(m), m
+
+
+def test_ecm_is_deterministic():
+    m = quick_leftover(1217689472431)
+    assert factor._ecm_split(m) == factor._ecm_split(m) == 941644825327
+
+
+def test_no_ecm_at_or_below_the_quick_cap(monkeypatch):
+    calls = []
+    split = factor._ecm_split
+    monkeypatch.setattr(factor, "_ecm_split", lambda m: calls.append(m) or split(m))
+    x = 1217689472431
+    for cap in (1, 2, 10, 2**10, factor._QUICK_CAP):
+        assert not factorize(x * x + x + 1, SearchBudget(rho_iteration_cap=cap)).complete, cap
+    assert calls == []
+    assert factorize(x * x + x + 1, SearchBudget(rho_iteration_cap=factor._QUICK_CAP + 1)).complete
+    assert calls == [quick_leftover(x)]
+
+
+def test_without_curves_factorize_is_rho_alone(monkeypatch):
+    # rho splits this 76-bit leftover only after 2^16 iterations: under the
+    # default cap, and not under 2^17, where ECM still completes the result
+    x = 1217689472431
+    n = x * x + x + 1
+    full = ((3, 1), (13, 1), (40375821481, 1), (941644825327, 1))
+    mid = SearchBudget(rho_iteration_cap=2**17)
+    assert factorize(n).factors == factorize(n, mid).factors == full
+    monkeypatch.setattr(factor, "_ECM_CURVES", 0)
+    assert factorize(n) == Factorization(n, full, 1)
+    assert factorize(n, mid) == Factorization(n, ((3, 1), (13, 1)), quick_leftover(x))

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 import sympy
 
-from goodprimes import goodness
+from goodprimes import factor, goodness
 from goodprimes.factor import SearchBudget
 from goodprimes.goodness import (
     GOOD,
@@ -519,3 +519,20 @@ def test_stop_aware_step_skips_the_failed_rho(monkeypatch, root):
     assert result.certificate.to_json() == PINNED[root]
     assert result.state.complete is True
     assert caps and max(caps) <= goodness._QUICK_CAP
+
+
+def test_quick_pass_primes_are_a_subset_of_the_full_budgets(monkeypatch):
+    # ECM splits this root's 76-bit leftover, so the range test's premise
+    # rests on ECM running only after the quick pass's 2^16 rho iterations
+    calls = []
+    split = factor._ecm_split
+    monkeypatch.setattr(factor, "_ecm_split", lambda m: calls.append(m) or split(m))
+    x = 1217689472431
+    quick, quick_done = cyclotomic_children(x, SearchBudget(rho_iteration_cap=factor._QUICK_CAP))
+    assert (quick, quick_done, calls) == ({13}, False, [])
+    full, full_done = cyclotomic_children(x)
+    assert full_done and len(calls) == 1 and quick < full == {13, 40375821481, 941644825327}
+    assert is_good(x).certificate.to_json() == (
+        '{"path":[["1217689472431","1482767651270504798522193","40375821481"]],'
+        '"root":"1217689472431","terminal":"40375821481","terminal_residue":"2"}'
+    )
