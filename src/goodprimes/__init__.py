@@ -10,7 +10,6 @@ special multiplicative forms for perfect numbers.
 """
 
 from .arith import (
-    cyclotomic_value,
     is_prime,
     primality,
     primes_up_to,
@@ -75,7 +74,6 @@ __all__ = [
     "beta_feasible",
     "cyclotomic_children",
     "cyclotomic_divides_sigma",
-    "cyclotomic_value",
     "expand",
     "factorize",
     "forced_good_divisor",

@@ -1,10 +1,11 @@
 """Exact number-theoretic primitives on plain Python integers.
 
-Everything here is exact at arbitrary precision: cyclotomic values,
-divisor sums of prime powers and of factorizations given as
-(prime, exponent) pairs, p-adic valuations, and primality testing.  No
-floats enter any computation.  The module imports nothing from the rest
-of the package.
+Everything here is exact at arbitrary precision: the one cyclotomic
+value the package needs, Phi_3(x) = x**2 + x + 1, divisor sums of prime
+powers and of factorizations given as (prime, exponent) pairs, p-adic
+valuations, and primality testing.  No floats enter any computation, and
+`sigma`, `valuation` and `cyclotomic_value` refuse non-integers.  The
+module imports nothing from the rest of the package.
 
 Primality is deterministic for n below ~3.3e24, which covers 64-bit inputs:
 below psi_k, the least strong pseudoprime to the first k prime bases, those
@@ -173,7 +174,8 @@ def is_prime(n: int) -> bool:
 
 
 def valuation(q: int, n: int) -> int:
-    """Largest e with q**e dividing n (q prime, n >= 1)."""
+    """Largest e with q**e dividing n (q prime, n >= 1, both integers)."""
+    q, n = operator.index(q), operator.index(n)
     if n < 1:
         raise ValueError(f"valuation needs n >= 1, got {n}")
     if not is_prime(q):
@@ -185,52 +187,16 @@ def valuation(q: int, n: int) -> int:
     return e
 
 
-def _distinct_prime_factors(n: int) -> list[int]:
-    # plain trial division; used for cyclotomic indices and similar small n
-    out = []
-    for p in primes_up_to(math.isqrt(n)):
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-    if n > 1:
-        out.append(n)
-    return out
+def cyclotomic_value(x: int) -> int:
+    """Phi_3(x) = x**2 + x + 1, exactly (x >= 1).
 
-
-def cyclotomic_value(n: int, x: int) -> int:
-    """Value of the n-th cyclotomic polynomial at x (n >= 1, x >= 1).
-
-    Computed exactly by the Moebius product over the divisors of n,
-    so any index works, not just primes.  At x = 1 the classical
-    closed form applies: 0 for n = 1, p for n a power of the prime p,
-    and 1 otherwise.
+    The one cyclotomic polynomial of the package: the step map takes the
+    prime divisors of Phi_3(x), and Phi_3(q) divides sigma(q**(6k+2)).
     """
-    if n < 1:
-        raise ValueError(f"cyclotomic index must be >= 1, got {n}")
+    x = operator.index(x)
     if x < 1:
         raise ValueError(f"cyclotomic argument must be >= 1, got {x}")
-    if n == 1:
-        return x - 1
-    primes = _distinct_prime_factors(n)
-    if x == 1:
-        return primes[0] if len(primes) == 1 else 1
-    num, den = 1, 1
-    for mask in range(1 << len(primes)):
-        d = 1
-        bits = 0
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                d *= p
-                bits += 1
-        term = x ** (n // d) - 1
-        if bits & 1:
-            den *= term
-        else:
-            num *= term
-    if num % den:
-        raise AssertionError(f"cyclotomic division not exact for n={n}, x={x}")
-    return num // den
+    return x * x + x + 1
 
 
 def sigma_prime_power(p: int, c: int) -> int:

@@ -71,7 +71,7 @@ def cyclotomic_children(x: int, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[
         raise ValueError(f"step map needs a prime > 7, got {x}")
     if not arith.is_prime(x):
         raise ValueError(f"step map needs a prime, got composite {x}")
-    value = arith.cyclotomic_value(3, x)
+    value = arith.cyclotomic_value(x)
     result = factorize(value, budget)
     children = result.prime_divisors - {3}
     if result.complete and not children:
@@ -251,7 +251,7 @@ class GoodnessCertificate:
 def certificate_for(state: ClosureState, member: int) -> GoodnessCertificate:
     """Certificate along the canonical path from the state's root to member."""
     path = state.path_to(member)
-    edges = tuple((a, arith.cyclotomic_value(3, a), b) for a, b in zip(path, path[1:]))
+    edges = tuple((a, arith.cyclotomic_value(a), b) for a, b in zip(path, path[1:]))
     return GoodnessCertificate(
         root=state.root,
         path=edges,

@@ -219,7 +219,7 @@ def cyclotomic_divides_sigma(q: int, k: int) -> bool:
         raise ValueError(f"need k >= 0, got {k}")
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    return sigma_prime_power(q, 6 * k + 2) % cyclotomic_value(3, q) == 0
+    return sigma_prime_power(q, 6 * k + 2) % cyclotomic_value(q) == 0
 
 
 def forced_good_divisor(alpha: int, b: int) -> int | None:

@@ -52,15 +52,6 @@ def valuation_naive(q, n):
     return e
 
 
-def cyclotomic_recursive(n, x):
-    # Phi_n(x) = (x^n - 1) / prod of Phi_d(x) over proper divisors d
-    num = x**n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num //= cyclotomic_recursive(d, x)
-    return num
-
-
 # ---- primes -----------------------------------------------------------------
 
 
@@ -120,7 +111,6 @@ PUBLIC_NAMES = [
     "beta_feasible",
     "cyclotomic_children",
     "cyclotomic_divides_sigma",
-    "cyclotomic_value",
     "expand",
     "factorize",
     "forced_good_divisor",
@@ -153,7 +143,7 @@ def test_public_surface_is_pinned():
     # any export added or removed shows up here as a diff
     import goodprimes
 
-    assert len(PUBLIC_NAMES) == 39 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 38 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert goodprimes.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(goodprimes, name) is not None, name
@@ -261,46 +251,29 @@ def test_valuation_rejects_bad_input():
         valuation(3, 0)
 
 
+def test_valuation_refuses_non_integers():
+    # a float must not be divided as if it were exact (9.0 would give 2)
+    for q, n in ((3, 9.0), (3, 27.0), (3, 2.5), (3.0, 9), (3, "9")):
+        with pytest.raises(TypeError):
+            valuation(q, n)
+
+
 # ---- cyclotomic values ------------------------------------------------------
 
 
-def test_cyclotomic_fixed_values():
-    assert cyclotomic_value(3, 3) == 13
-    assert cyclotomic_value(3, 5) == 31
-    assert cyclotomic_value(2, 5) == 6
-    assert cyclotomic_value(3, 1) == 3
-    assert cyclotomic_value(5, 2) == 31
-    assert cyclotomic_value(5, 3) == 121  # 11^2; at x=3 only the index-3 value is 13
-    assert cyclotomic_value(1, 10) == 9
-
-
-def test_cyclotomic_matches_recursive_oracle():
-    for n in range(1, 31):
-        for x in range(2, 12):
-            assert cyclotomic_value(n, x) == cyclotomic_recursive(n, x), (n, x)
-
-
-def test_cyclotomic_at_one():
-    # prime power index gives the prime, mixed index gives 1
-    assert cyclotomic_value(7, 1) == 7
-    assert cyclotomic_value(9, 1) == 3
-    assert cyclotomic_value(8, 1) == 2
-    assert cyclotomic_value(6, 1) == 1
-    assert cyclotomic_value(15, 1) == 1
-    assert cyclotomic_value(1, 1) == 0
-
-
-def test_cyclotomic_prime_index_closed_form():
-    for p in (2, 3, 5, 7, 11):
-        for x in range(2, 50):
-            assert cyclotomic_value(p, x) == (x**p - 1) // (x - 1)
+def test_cyclotomic_value_is_phi3():
+    for x in list(range(1, 200)) + [2**200 - 1, 2**200, 3**127]:
+        assert cyclotomic_value(x) == x * x + x + 1, x
+    assert cyclotomic_value(3) == 13 and cyclotomic_value(5) == 31
 
 
 def test_cyclotomic_rejects_bad_input():
-    with pytest.raises(ValueError):
-        cyclotomic_value(0, 5)
-    with pytest.raises(ValueError):
-        cyclotomic_value(3, 0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            cyclotomic_value(bad)
+    for bad in (2.5, "3"):
+        with pytest.raises(TypeError):
+            cyclotomic_value(bad)
 
 
 # ---- divisor sums -----------------------------------------------------------
