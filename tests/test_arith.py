@@ -276,6 +276,16 @@ def test_cyclotomic_rejects_bad_input():
             cyclotomic_value(bad)
 
 
+def test_cyclotomic_value_stays_a_public_arith_function():
+    # perfbench's tracer wraps every public function defined in arith,
+    # exported or not, and reports arith.cyclotomic_value by that name
+    import goodprimes
+
+    fn = vars(arith)["cyclotomic_value"]
+    assert callable(fn) and fn.__module__ == arith.__name__
+    assert "cyclotomic_value" not in goodprimes.__all__
+
+
 # ---- divisor sums -----------------------------------------------------------
 
 

@@ -61,6 +61,12 @@ def test_step_map_examples():
     assert cyclotomic_children(61) == (frozenset({13, 97}), True)
 
 
+def test_step_map_matches_sympy():
+    for x in sympy.primerange(11, 500):
+        expected = frozenset(sympy.primefactors(x * x + x + 1)) - {3}
+        assert cyclotomic_children(x) == (expected, True), x
+
+
 def test_step_map_rejects_bad_input():
     for bad in (7, 5, 9, 15):
         with pytest.raises(ValueError):
