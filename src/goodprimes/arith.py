@@ -4,8 +4,8 @@ Everything here is exact at arbitrary precision: the one cyclotomic
 value the package needs, Phi_3(x) = x**2 + x + 1, divisor sums of prime
 powers and of factorizations given as (prime, exponent) pairs, p-adic
 valuations, and primality testing.  No floats enter any computation, and
-`sigma`, `valuation` and `cyclotomic_value` refuse non-integers.  The
-module imports nothing from the rest of the package.
+`sigma`, `valuation`, `cyclotomic_value`, `primality` and `is_prime`
+refuse non-integers.  The module imports nothing from the rest of the package.
 
 Primality is deterministic for n below ~3.3e24, which covers 64-bit inputs:
 below psi_k, the least strong pseudoprime to the first k prime bases, those
@@ -139,15 +139,20 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=1 << 16)
 def primality(n: int) -> str:
-    """Primality verdict with a confidence flag.
+    """Primality verdict with a confidence flag; n must be an integer.
 
     Returns "composite" (definitely not prime; also covers n < 2), "prime"
     (deterministic below ~3.3e24: n below psi_k is decided by the first k
     primes as Miller-Rabin bases, see `_MR_TIERS`), or "probable_prime"
     (strong base-2 plus strong Lucas test, no known counterexample).
     """
+    return _primality(operator.index(n))
+
+
+# callers refuse non-integers first: the memo would answer 7.0 from 7
+@lru_cache(maxsize=1 << 16)
+def _primality(n: int) -> str:
     if n < 2:
         return COMPOSITE
     if n in _SMALL_PRIME_SET:
@@ -170,7 +175,7 @@ def primality(n: int) -> str:
 
 def is_prime(n: int) -> bool:
     """True iff n is (certified or probable) prime; see `primality`."""
-    return primality(n) != COMPOSITE
+    return _primality(operator.index(n)) != COMPOSITE
 
 
 def valuation(q: int, n: int) -> int:

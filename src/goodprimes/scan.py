@@ -38,6 +38,7 @@ from .goodness import GOOD, INCONCLUSIVE, goodness_verdicts
 from .jsonio import canonical_dumps, dec, undec
 
 FORM_BOUND_LIMIT = 10**12
+_BLOCK = 1 << 18  # entries per sieve temporary
 
 FORM_ODD = "odd"
 FORM_SQUAREFREE = "squarefree"
@@ -108,6 +109,13 @@ class ScanReport:
         )
 
 
+def _blocks(target: np.ndarray, values: range):
+    """(offset, target block, values block in its dtype) triples of at most _BLOCK entries."""
+    for i in range(0, len(values), _BLOCK):
+        r = values[i : i + _BLOCK]
+        yield i, target[i : i + len(r)], np.arange(r.start, r.stop, r.step, dtype=target.dtype)
+
+
 def _sigma_progression(out: np.ndarray, bound: int, start: int, step: int) -> None:
     """Add sigma(start + i*step) into out[i] for every member <= bound: each
     d <= sqrt(bound) adds d + k for its cofactors k >= d in the progression,
@@ -119,7 +127,8 @@ def _sigma_progression(out: np.ndarray, bound: int, start: int, step: int) -> No
         period = step // g
         k = d + (start // g * pow(d // g, -1, period) - d) % period
         first = (d * k - start) // step
-        out[first :: d // g] += np.arange(k + d, bound // d + d + 1, period, dtype=np.int64)
+        for _, multiples, ramp in _blocks(out[first :: d // g], range(k + d, bound // d + d + 1, period)):
+            multiples += ramp
         if k == d:
             out[first] -= d  # the square d*d has the divisor d once
 
@@ -136,15 +145,16 @@ def _check_sample(sigmas: np.ndarray, bound: int, start: int, step: int) -> None
 
 
 def sieve_sigma(bound: int) -> np.ndarray:
-    """Divisor sums sigma(n) for all n <= bound; index 0 is unused (zero).
+    """Divisor sums sigma(n) for all n <= bound as int32; index 0 is unused (zero).
 
     The divisor-pair sieve runs over odd n only, and each even n = 2^a * m,
-    m odd, gets (2^(a+1) - 1) * sigma(m).  Bounds above 1e8 are refused; at
-    peak the array and a temporary of half its size take 12 bytes per entry.
+    m odd, gets (2^(a+1) - 1) * sigma(m).  Bounds above 1e8 are refused, so
+    int32 is exact (Robin 1984: sigma(n) < 5.5e8 < 2^31 there); the array
+    takes 4 bytes per entry and each temporary at most _BLOCK entries.
     A seeded sample is cross-checked against the multiplicative sigma.
     """
     _check_bound(bound, SIEVE_BOUND_LIMIT, "sieve")
-    sig = np.zeros(bound + 1, dtype=np.int64)
+    sig = np.zeros(bound + 1, dtype=np.int32)
     _sigma_progression(sig[1::2], bound, 1, 2)
     for a in range(1, bound.bit_length()):
         even = sig[1 << a :: 2 << a]  # n = 2^a * m for odd m = 1, 3, 5, ...
@@ -156,9 +166,9 @@ def sieve_sigma(bound: int) -> np.ndarray:
 def _scan_stride(form: str, bound: int, start: int, step: int, sigmas: np.ndarray, checked: int) -> ScanReport:
     """Test sigma(n) == 2n for n = start + i*step <= bound, sigmas[i] = sigma(n);
     odd hits are audited counterexamples, even ones perfect numbers found."""
-    # 2n <= 2 * SIEVE_BOUND_LIMIT < 2**31, so an int32 ramp takes half the memory
-    hits = sigmas == np.arange(2 * start, 2 * bound + 1, 2 * step, dtype=np.int32)
-    found = [start + step * int(i) for i in np.nonzero(hits)[0]]
+    twice = range(2 * start, 2 * bound + 1, 2 * step)  # 2n, compared one block at a time
+    hits = [i + int(j) for i, block, ramp in _blocks(sigmas, twice) for j in np.flatnonzero(block == ramp)]
+    found = [start + step * i for i in hits]
     return ScanReport(
         form=form,
         bound=bound,
@@ -176,7 +186,7 @@ def scan_odd_perfect(bound: int) -> ScanReport:
 def scan_105(bound: int) -> ScanReport:
     """Confirm no odd multiple of 105 = 3*5*7 up to bound is perfect; sieves only 105 (mod 210)."""
     _check_bound(bound, SIEVE_BOUND_LIMIT, "sieve")
-    sigmas = np.zeros(len(range(105, bound + 1, 210)), dtype=np.int64)
+    sigmas = np.zeros(len(range(105, bound + 1, 210)), dtype=np.int32)
     _sigma_progression(sigmas, bound, 105, 210)
     _check_sample(sigmas, bound, 105, 210)
     return _scan_stride(FORM_105, bound, 105, 210, sigmas, len(sigmas))

@@ -182,6 +182,18 @@ def test_primality_confidence_levels():
     assert primality(p_big + 2) in ("composite", "probable_prime")
 
 
+def test_primality_refuses_non_integers():
+    # 7.0 used to be answered from the memo entry for 7, and 53.0 raised
+    # from inside Miller-Rabin; both must be refused before the memo
+    assert is_prime(7) and primality(53) == "prime"  # the memo holds both
+    for check in (is_prime, primality):
+        for bad in (7.0, 53.0, "7"):
+            with pytest.raises(TypeError):
+                check(bad)
+    assert is_prime(np.int64(7)) and primality(np.int64(53)) == "prime"
+    assert not is_prime(np.int64(55))
+
+
 def test_primality_agrees_with_sympy_around_deterministic_bound(rng):
     for _ in range(20):
         n = rng.randrange(10**24, 10**26) | 1

@@ -1,14 +1,17 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
 from goodprimes import arith, scan
+from goodprimes.enclosure import log_enclosure
 from goodprimes.factor import SearchBudget, factorize
 from goodprimes.goodness import GOOD, INCONCLUSIVE, is_good
 from goodprimes.scan import (
+    SIEVE_BOUND_LIMIT,
     CandidateRecord,
     ResourceLimitError,
     ScanReport,
@@ -113,17 +116,72 @@ def test_sieve_scans_at_every_small_bound():
 
 
 def test_sieve_scans_peak_memory():
-    # the sigma array plus temporaries of at most 5/8 its size (the odd-n
-    # arange, or an int32 ramp and a bool mask); the 105 scan holds only
-    # its own progression, about 1/210 of the array
+    # the int32 sigma array, 4 bytes per entry, plus temporaries bounded by
+    # the block: two int32 ramps (the generator makes the next while the
+    # last is held) and a bool mask; the 105 scan holds only its own
+    # progression, about 1/210 of the array
     bound = 10**6
     factorize(2)  # build the trial-division blocks outside the measurement
-    for run, ratio in ((sieve_sigma, 1.9), (scan_odd_perfect, 1.9), (scan_105, 0.1)):
+    for run, entries in ((sieve_sigma, bound + 1), (scan_odd_perfect, bound + 1), (scan_105, bound // 210 + 1)):
         tracemalloc.start()
         run(bound)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < ratio * 8 * (bound + 1), (run.__name__, peak)
+        assert peak < 4 * entries + 9 * min(scan._BLOCK, entries) + 2**18, (run.__name__, peak)
+
+
+def divisor_sieve(bound):
+    # sigma(n) as the sum of every d | n in int64: each d <= root by a
+    # strided add, each d > root by its cofactor m = n / d <= bound // (root + 1)
+    sig = np.zeros(bound + 1, dtype=np.int64)
+    root = math.isqrt(bound)
+    for d in range(1, root + 1):
+        sig[d::d] += d
+    for m in range(1, bound // (root + 1) + 1):
+        d = np.arange(root + 1, bound // m + 1, dtype=np.int64)
+        sig[m * d] += d
+    return sig
+
+
+def test_sieve_matches_divisor_sieve_over_several_blocks():
+    # the odd half alone spans 3.5 ramp blocks, so every d up to 3 sees
+    # block boundaries in its ramp
+    bound = 7 * scan._BLOCK + 11
+    sig = sieve_sigma(bound)
+    assert sig.dtype == np.int32
+    assert np.array_equal(sig, divisor_sieve(bound))
+
+
+def test_scan_stride_hits_at_block_edges():
+    block = scan._BLOCK
+    size = 2 * block + 5  # two whole blocks and a short tail
+    planted = [0, block - 1, block, 2 * block - 1, 2 * block + 2, size - 1]
+    for start, step in ((2, 2), (105, 210)):  # perfect numbers found, counterexamples
+        sigmas = np.zeros(size, dtype=np.int32)
+        for i in planted:
+            sigmas[i] = 2 * (start + step * i)
+        sigmas[block + 1] = 2 * (start + step * (block + 1)) + 1  # a near miss
+        report = scan._scan_stride("test", start + step * (size - 1), start, step, sigmas, size)
+        found = sorted(report.perfect_found + tuple(rec.value for rec in report.counterexamples))
+        assert found == [start + step * i for i in planted], (start, step)
+
+
+def test_sigma_fits_int32_up_to_the_sieve_limit():
+    # Robin (1984): sigma(n) < e^gamma n L + 0.6483 n / L for n >= 3, with
+    # L = ln ln n.  The right side is n g(L), g(L) = e^gamma L + 0.6483 / L,
+    # and g grows once L^2 > 0.6483 / e^gamma; if that holds at n = 7, every
+    # 7 <= n <= N has sigma(n) < N g(L(N)), and sigma(n) <= 12 below 7
+    e_gamma = (Fraction(178107, 10**5), Fraction(178108, 10**5))  # 1.7810724...
+    robin = Fraction(6483, 10**4)
+
+    def lnln(n):
+        lo, hi = log_enclosure(n)
+        return log_enclosure(lo)[0], log_enclosure(hi)[1]
+
+    assert lnln(7)[0] ** 2 * e_gamma[0] > robin
+    lo, hi = lnln(SIEVE_BOUND_LIMIT)
+    assert SIEVE_BOUND_LIMIT * (e_gamma[1] * hi + robin / lo) < Fraction(542, 100) * 10**8 < 2**31
+    assert max(sigma_naive(n) for n in range(1, 7)) == 12
 
 
 def test_scan_105():
