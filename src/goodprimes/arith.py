@@ -206,6 +206,7 @@ def cyclotomic_value(x: int) -> int:
 
 def sigma_prime_power(p: int, c: int) -> int:
     """sigma(p**c) = 1 + p + ... + p**c, exactly (p >= 2, c >= 0)."""
+    p, c = operator.index(p), operator.index(c)
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
     if c < 0:

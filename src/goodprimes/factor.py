@@ -1,10 +1,10 @@
 """Integer factorization with explicit effort budgets.
 
-Trial division up to a configurable bound runs first; each composite left
-gets a short run of Brent's variant of the Pollard rho method, Lenstra's
-elliptic-curve method (ECM) and the full rho run.  Rho walks c = 1, 2, 3,
-..., ECM the curve seeds sigma = 6, 7, 8, ..., and no result is stored
-between calls, so `factorize` is a pure function of (n, budget).
+Stage one is trial division up to a configurable bound and a short run of
+Brent's variant of the Pollard rho method on each composite left; stage two
+gives each part left Lenstra's elliptic-curve method (ECM) and the full rho
+run.  Rho walks c = 1, 2, 3, ..., ECM the curve seeds sigma = 6, 7, 8, ...,
+and nothing is stored between calls, so `factorize` is pure in (n, budget).
 
 Factors are (prime, exponent) int pairs in ascending prime order, the
 shape `arith.sigma` takes.  Partial results are first-class: the
@@ -16,6 +16,7 @@ need completeness check `complete`.
 import functools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import arith
@@ -235,6 +236,38 @@ def _ecm_split(n: int) -> int | None:
     return None
 
 
+def _first_pass(parts: list[int], cap: int, counts: dict[int, int], left: list[int]) -> None:
+    """Split parts by rho's first min(cap, 2^16) iterations; the composites it leaves go to `left`."""
+    while parts:
+        m = parts.pop()
+        if arith.is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        elif m.bit_length() > _MAX_RHO_BITS or (divisor := _rho_split(m, min(cap, _QUICK_CAP))) is None:
+            left.append(m)
+        else:
+            parts += divisor, m // divisor
+
+
+def _stages(n: int, budget: SearchBudget) -> Iterator[Factorization]:
+    """Yield `factorize(n, budget)` after trial division and `_first_pass`, then, under
+    a cap above 2^16, after ECM and the full rho run on each part left; split pieces get
+    the first pass first.  What happens to a part depends on that part alone."""
+    counts: dict[int, int] = {}
+    cap = budget.rho_iteration_cap
+    cof = _trial_divide(n, budget.trial_division_bound, counts)
+    left, unsplit = [], []
+    _first_pass([cof] if cof > 1 else [], cap, counts, left)
+    yield Factorization(n, tuple(sorted(counts.items())), math.prod(left))
+    if cap > _QUICK_CAP and left:
+        while left:
+            m = left.pop()
+            if m.bit_length() > _MAX_RHO_BITS or not (divisor := _ecm_split(m) or _rho_split(m, cap)):
+                unsplit.append(m)
+            else:
+                _first_pass([divisor, m // divisor], cap, counts, left)
+        yield Factorization(n, tuple(sorted(counts.items())), math.prod(unsplit))
+
+
 def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n within the given budget; never fails, may return incomplete.
 
@@ -243,8 +276,7 @@ def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
     (rho splits anything whose second-largest prime factor is roughly
     below the square of the iteration cap).  Each composite part gets rho
     with a cap of min(cap, 2^16), then, if cap > 2^16, ECM and the full rho
-    run from c = 1.  So the 2^16 pass is a prefix of every larger budget,
-    and a part ECM does not split gets the whole rho run.  Status values:
+    run from c = 1: the two stages of `_stages`.  Status values:
 
     - "complete":  cofactor 1, all prime powers certified.
     - "exhausted": a composite part is left as the cofactor: rho (and
@@ -253,24 +285,4 @@ def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
     """
     if n < 2:
         raise ValueError(f"factorize needs n >= 2, got {n}")
-
-    counts: dict[int, int] = {}
-    leftovers: list[int] = []
-    cof = _trial_divide(n, budget.trial_division_bound, counts)
-    pending = [cof] if cof > 1 else []
-    while pending:
-        pending.sort(reverse=True)
-        m = pending.pop()  # smallest first, deterministic
-        if arith.is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-            continue
-        divisor, cap = None, budget.rho_iteration_cap
-        if m.bit_length() <= _MAX_RHO_BITS:
-            divisor = _rho_split(m, min(cap, _QUICK_CAP))
-            if divisor is None and cap > _QUICK_CAP:
-                divisor = _ecm_split(m) or _rho_split(m, cap)
-        if divisor is None:
-            leftovers.append(m)
-        else:
-            pending.extend((divisor, m // divisor))
-    return Factorization(n, tuple(sorted(counts.items())), math.prod(leftovers))
+    return list(_stages(n, budget))[-1]

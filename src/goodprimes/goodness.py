@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import arith
-from .factor import _QUICK_CAP, DEFAULT_BUDGET, SearchBudget, factorize
+from .factor import DEFAULT_BUDGET, SearchBudget, _stages
 from .jsonio import canonical_dumps, dec, undec
 
 GOAL_MODULUS = 7
@@ -61,22 +61,12 @@ def is_goal_prime(p: int) -> bool:
 
 
 def cyclotomic_children(x: int, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[frozenset[int], bool]:
-    """Certified prime divisors of x^2 + x + 1 other than 3, for prime x > 7.
-
-    Returns (primes, complete).  The set is nonempty whenever complete
-    (x^2 + x + 1 is never a power of 3); an incomplete factorization may
-    yield an empty set.
-    """
-    if x <= 7:
-        raise ValueError(f"step map needs a prime > 7, got {x}")
-    if not arith.is_prime(x):
-        raise ValueError(f"step map needs a prime, got composite {x}")
-    value = arith.cyclotomic_value(x)
-    result = factorize(value, budget)
-    children = result.prime_divisors - {3}
-    if result.complete and not children:
-        raise AssertionError(f"x^2+x+1 reduced to a power of 3 at x={x}")
-    return frozenset(children), result.complete
+    """Certified prime divisors of x^2 + x + 1 other than 3, for prime x > 7,
+    and whether they are all: the frontier and completeness of one `expand`
+    of {x}.  The set is nonempty whenever complete (x^2 + x + 1 is never a
+    power of 3); an incomplete factorization may yield an empty set."""
+    state = expand(initial_state(x), budget)
+    return frozenset(state.frontier), state.complete
 
 
 @dataclass(frozen=True)
@@ -164,34 +154,32 @@ def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[Closure
     """`expand`, but stop at the first new child c with `stop(c, depth)`
     and return it with the state, which then ends on a partial layer.
 
-    With `stop`, rho first gets a cap of 2^16 iterations (2^17 - 2 on a
-    part that does not split) and no ECM.  If that falls short at s, the
-    first new child with `stop`, trial division found every prime to its
-    bound; so if the unfound part has no prime divisor from there to s,
-    every prime below s was found.  Any larger cap runs those same 2^16
-    rho iterations on each part before ECM and its full run, so it
-    repeats each split of the quick pass and hits s too, and the step
-    counts as complete.  Otherwise x is factored with the budget.
+    Each x^2 + x + 1 is factored once, in the stages of `factor._stages`.
+    With `stop`, the first stage (trial division, 2^16 rho iterations per
+    part, no ECM) may settle the step: if it falls short at s, the first
+    new child with `stop`, trial division found every prime to its bound,
+    so if the cofactor has no prime divisor from there to s, every prime
+    below s was found and the step counts as complete.  Otherwise, and
+    without `stop`, the second stage runs.
     """
     complete = state.complete
     parents = dict(state.parents)
     frontier: list[int] = []
     hit = None
-    quick = budget if budget.rho_iteration_cap <= _QUICK_CAP else replace(budget, rho_iteration_cap=_QUICK_CAP)
     for x in state.frontier:
         if x <= 7:
             continue
-        children, finished = cyclotomic_children(x, budget if stop is None else quick)
-        if stop is not None and not finished:
-            s = next((c for c in sorted(children - parents.keys()) if stop(c, state.depth + 1)), None)
-            if s is not None:
-                value = x * x + x + 1
-                rest = value // math.prod(q ** arith.valuation(q, value) for q in children | {3})
-                finished = _no_factor_between(rest, budget.trial_division_bound, s)
-            if not finished and quick != budget:
-                children, finished = cyclotomic_children(x, budget)
-        complete = complete and finished
-        for child in sorted(children - parents.keys()):
+        stages = _stages(arith.cyclotomic_value(x), budget)
+        result = next(stages)
+        children = sorted(result.prime_divisors - parents.keys() - {3})
+        s = None if stop is None or result.complete else next((c for c in children if stop(c, state.depth + 1)), None)
+        if not result.complete and not (s and _no_factor_between(result.cofactor, budget.trial_division_bound, s)):
+            result = next(stages, result)
+            children = sorted(result.prime_divisors - parents.keys() - {3})
+            complete = complete and result.complete
+        if result.complete and result.prime_divisors <= {3}:
+            raise AssertionError(f"x^2+x+1 reduced to a power of 3 at x={x}")
+        for child in children:
             parents[child] = x
             frontier.append(child)
             if stop is not None and stop(child, state.depth + 1):
@@ -377,9 +365,9 @@ def goodness_verdicts(primes, budget: SearchBudget = DEFAULT_BUDGET) -> dict[int
     path from them to a goal; a search also stops at a member m reached
     at depth k with `known[m] + k <= max_depth`, and each good records
     its winning path.  Each prime is first searched with a rho cap of 1
-    (so `_step` factors once), which trial-divides alike and gives rho one
-    Brent round, the budget's own first round: its step images are subsets
-    of the budget's, so only a good from that pass is taken.
+    (one factoring stage, no ECM), which trial-divides alike and gives rho
+    one Brent round, the budget's own first round: its step images are
+    subsets of the budget's, so only a good from that pass is taken.
     """
     quick = replace(budget, rho_iteration_cap=1)
     passes = (quick,) if quick == budget else (quick, budget)

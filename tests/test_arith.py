@@ -90,6 +90,20 @@ def test_arith_imports_nothing_from_the_package():
             assert name.split(".")[0] != "goodprimes", f"{name} imported at line {node.lineno}"
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs on the package; __init__ is exempt, its imports are `__all__`
+    for path in sorted(Path(arith.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in used, f"{path.name} imports {name} at line {node.lineno} and never uses it"
+
+
 def test_package_self_checks_survive_optimisation():
     # `python -O` strips bare asserts; a self-check must raise AssertionError itself
     for path in sorted(Path(arith.__file__).parent.glob("*.py")):
@@ -305,6 +319,14 @@ def test_sigma_prime_power_examples():
     assert sigma_prime_power(3, 2) == 13
     assert sigma_prime_power(11, 0) == 1
     assert sigma_prime_power(7, 3) == 400
+
+
+def test_sigma_prime_power_refuses_non_integers():
+    # a float must not be summed as if it were exact (2.5, 2 gave 9.0)
+    for p, c in ((2.5, 2), (3, 2.0), (3.0, 2), ("3", 2)):
+        with pytest.raises(TypeError):
+            sigma_prime_power(p, c)
+    assert sigma_prime_power(np.int64(3), np.int64(2)) == 13
 
 
 def test_sigma_prime_power_identity():

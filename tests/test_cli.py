@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -128,6 +129,15 @@ def test_sweep_default_limit_is_160(capsys):
     assert summary["limit"] == "160"
     assert summary["primes"] == "33"
     assert summary["good"] == "33"
+
+
+def test_sweep_3000_json_is_pinned(capsys):
+    # the canonical output contract: any change to a verdict, depth or certificate moves it
+    code, out, _ = run_cli(capsys, "--format", "json", "sweep", "3000")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fd5f5f4c182040613ca82c1543d5e0f5971572b349720308ea2a075a7e1abe53"
+    )
 
 
 def test_sweep_inconclusive_exit(capsys):

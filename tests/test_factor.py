@@ -218,6 +218,51 @@ def test_no_ecm_at_or_below_the_quick_cap(monkeypatch):
     assert calls == [quick_leftover(x)]
 
 
+def single_pass(n, budget):
+    """The one-loop factorizer that `_stages` replaced, kept as the reference:
+    each part gets the 2^16 rho pass, then under a larger cap ECM and the full run."""
+    counts, leftovers = {}, []
+    cof = factor._trial_divide(n, budget.trial_division_bound, counts)
+    pending = [cof] if cof > 1 else []
+    while pending:
+        pending.sort(reverse=True)
+        m = pending.pop()
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+            continue
+        divisor, cap = None, budget.rho_iteration_cap
+        if m.bit_length() <= factor._MAX_RHO_BITS:
+            divisor = factor._rho_split(m, min(cap, factor._QUICK_CAP))
+            if divisor is None and cap > factor._QUICK_CAP:
+                divisor = factor._ecm_split(m) or factor._rho_split(m, cap)
+        if divisor is None:
+            leftovers.append(m)
+        else:
+            pending.extend((divisor, m // divisor))
+    return Factorization(n, tuple(sorted(counts.items())), math.prod(leftovers))
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        DEFAULT_BUDGET,
+        SearchBudget(rho_iteration_cap=factor._QUICK_CAP),
+        SearchBudget(trial_division_bound=100, rho_iteration_cap=10),
+    ],
+    ids=repr,
+)
+def test_stages_match_the_single_pass_they_replaced(budget):
+    # a closure step settles on the first stage or resumes it, so the first
+    # stage must be what a 2^16 cap buys and the last what the budget buys
+    quick = dataclasses.replace(budget, rho_iteration_cap=min(budget.rho_iteration_cap, factor._QUICK_CAP))
+    for x in [p for p in primes_up_to(3000) if p > 7] + [1217689472431]:
+        n = x * x + x + 1
+        stages = list(factor._stages(n, budget))
+        assert stages[0] == single_pass(n, quick), x
+        assert stages[-1] == single_pass(n, budget), x
+        assert len(stages) == 1 + (budget != quick and not stages[0].complete), x
+
+
 def test_without_curves_factorize_is_rho_alone(monkeypatch):
     # rho splits this 76-bit leftover only after 2^16 iterations: under the
     # default cap, and not under 2^17, where ECM still completes the result

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 import sympy
 
 from goodprimes import factor, goodness
-from goodprimes.factor import SearchBudget
+from goodprimes.factor import Factorization, SearchBudget
 from goodprimes.goodness import (
     GOOD,
     INCONCLUSIVE,
@@ -121,12 +122,13 @@ def test_expand_steps_only_the_frontier(monkeypatch):
     from goodprimes import goodness
 
     calls = []
+    stages = goodness._stages
 
-    def counting(x, *args):
-        calls.append(x)
-        return cyclotomic_children(x, *args)
+    def counting(value, budget):
+        calls.append(math.isqrt(value))  # x, from x^2 + x + 1
+        return stages(value, budget)
 
-    monkeypatch.setattr(goodness, "cyclotomic_children", counting)
+    monkeypatch.setattr(goodness, "_stages", counting)
     states = grow(13, 5)
     assert states[5].members == S13[5]
     # the chain from 13 adds one member per layer, so each layer steps one
@@ -223,7 +225,8 @@ def test_verdicts_match_is_good_on_closed_graph(monkeypatch):
     # no real prime is not_good, so step a small graph with no goal
     # prime; both passes of goodness_verdicts go through this one map
     graph = {13: {17, 19}, 17: {13}, 19: {13, 17}, 29: {13}, 31: {29, 43}, 43: {29}}
-    monkeypatch.setattr(goodness, "cyclotomic_children", lambda x, budget: (frozenset(graph[x]), True))
+    steps = {x * x + x + 1: tuple((q, 1) for q in sorted(graph[x])) for x in graph}
+    monkeypatch.setattr(goodness, "_stages", lambda value, budget: iter([Factorization(value, steps[value], 1)]))
     for budget, verdict in ((SearchBudget(), NOT_GOOD), (SearchBudget(max_depth=1), INCONCLUSIVE)):
         expected = {q: is_good(q, budget).verdict for q in graph}
         assert expected == dict.fromkeys(graph, verdict)
@@ -524,7 +527,7 @@ def test_stop_aware_step_skips_the_failed_rho(monkeypatch, root):
     result = is_good(root)
     assert result.certificate.to_json() == PINNED[root]
     assert result.state.complete is True
-    assert caps and max(caps) <= goodness._QUICK_CAP
+    assert caps and max(caps) <= factor._QUICK_CAP
 
 
 def test_quick_pass_primes_are_a_subset_of_the_full_budgets(monkeypatch):
@@ -542,3 +545,21 @@ def test_quick_pass_primes_are_a_subset_of_the_full_budgets(monkeypatch):
         '{"path":[["1217689472431","1482767651270504798522193","40375821481"]],'
         '"root":"1217689472431","terminal":"40375821481","terminal_residue":"2"}'
     )
+
+
+def test_a_step_value_is_factored_once(monkeypatch):
+    # the step from this root leaves a 76-bit part to ECM; it resumes the
+    # first stage, so no part gets the 2^16 rho pass twice
+    quick, ecm = [], []
+    rho_split, ecm_split = factor._rho_split, factor._ecm_split
+
+    def rho_spy(n, cap):
+        if cap <= factor._QUICK_CAP:
+            quick.append(n)
+        return rho_split(n, cap)
+
+    monkeypatch.setattr(factor, "_rho_split", rho_spy)
+    monkeypatch.setattr(factor, "_ecm_split", lambda n: ecm.append(n) or ecm_split(n))
+    assert is_good(1217689472431).certificate.terminal == 40375821481
+    assert quick and len(quick) == len(set(quick))
+    assert len(ecm) == 1 and ecm[0] in quick
