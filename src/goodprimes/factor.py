@@ -25,6 +25,7 @@ STATUS_COMPLETE = "complete"
 STATUS_EXHAUSTED = "exhausted"
 
 _RHO_BATCH = 128
+_BLOCK_PRIMES = 128  # primes per trial-division gcd; 256 saves little more and is slower on small n
 _MAX_RHO_BITS = 512  # wider composites are left unsplit ("exhausted"), never handed to rho
 _QUICK_CAP = 2**16  # rho's first pass (Brent runs 2^17 - 2 on a part that does not split)
 _ECM_CURVES = 100  # ECM runs only under a rho cap above _QUICK_CAP
@@ -93,18 +94,28 @@ class Factorization:
 
 @functools.cache
 def _prime_blocks(bound: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    # products of 64 primes at a time; one gcd screens a whole block
+    # products of _BLOCK_PRIMES primes at a time; one gcd screens a whole block
     primes = arith.primes_up_to(bound)
-    chunks = (tuple(primes[i : i + 64]) for i in range(0, len(primes), 64))
+    chunks = (tuple(primes[i : i + _BLOCK_PRIMES]) for i in range(0, len(primes), _BLOCK_PRIMES))
     return tuple((math.prod(chunk), chunk) for chunk in chunks)
 
 
 def _trial_divide(n: int, bound: int, counts: dict[int, int]) -> int:
-    """Strip all prime factors <= bound from n; returns the cofactor."""
-    cof = n
+    """Divide n by each prime p <= bound while p * p <= what is left; returns the cofactor.
+
+    The cofactor is 1, a prime (possibly <= bound: 2 * 999983 leaves 999983),
+    or a composite with no prime factor <= bound.  A cofactor in
+    (bound, _MR_DETERMINISTIC_BOUND) that `primality` proves prime ends the
+    search early: no prime <= bound divides it, so the result is the same.
+    """
+    cof, tested = n, 0
     for prod, chunk in _prime_blocks(bound):
         if cof == 1 or chunk[0] * chunk[0] > cof:
             break
+        if bound < cof != tested:  # the first block, or the last one stripped a factor
+            tested = cof
+            if cof < arith._MR_DETERMINISTIC_BOUND and arith._primality(cof) == arith.PRIME:
+                break
         if math.gcd(cof, prod) == 1:
             continue
         for p in chunk:
@@ -113,8 +124,8 @@ def _trial_divide(n: int, bound: int, counts: dict[int, int]) -> int:
             while cof % p == 0:
                 counts[p] = counts.get(p, 0) + 1
                 cof //= p
-    # a cofactor below the square of the last screened prime is prime, not
-    # "unfactored"; the caller certifies it with is_prime
+    # only a cofactor that outlasts every block can be composite ("unfactored");
+    # the caller's is_prime tells it from a prime one
     return cof
 
 

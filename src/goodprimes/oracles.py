@@ -22,6 +22,7 @@ exponent (decided with certified log enclosures, not floats), and the
 forced good divisors 31 and 13.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +35,14 @@ _CROSSCHECK_DIGIT_LIMIT = 10**6
 
 CONGRUENT_1 = "congruent_1"
 NOT_CONGRUENT_1 = "not_congruent_1"
+
+
+def _positive(name: str, value: int) -> int:
+    """value as an int; TypeError for a non-integer (as in `arith`), ValueError below 1."""
+    value = operator.index(value)
+    if value < 1:
+        raise ValueError(f"need {name} >= 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,8 +106,7 @@ def sigma_exact_power(
     when sigma(p^c) is small enough the valuation is also computed directly
     and any disagreement raises, making the oracle self-checking.
     """
-    if b < 1 or c < 1:
-        raise ValueError(f"need b >= 1 and c >= 1, got b={b}, c={c}")
+    b, c = _positive("b", b), _positive("c", c)
     d = multiplicative_order(p, q, budget)  # validates p, q
     a = _exact_power(p, q, d)
     if p % q == 1:
@@ -125,8 +133,7 @@ def sigma_coprime_to_five(p: int, beta: int) -> bool:
     claim is confirmed by direct computation.  For p = 3 the power
     3^(2*beta+1) is additionally checked to lie in {2, 3} mod 5.
     """
-    if beta < 1:
-        raise ValueError(f"need beta >= 1, got {beta}")
+    beta = _positive("beta", beta)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % 5 in (0, 1):
@@ -142,8 +149,7 @@ def sigma_coprime_to_five(p: int, beta: int) -> bool:
 def omega_upper_bound(beta: int) -> int:
     """Bound on the number of distinct prime factors of an odd perfect
     number whose non-special exponents all equal beta: 4*beta^2 + 2*beta + 3."""
-    if beta < 1:
-        raise ValueError(f"need beta >= 1, got {beta}")
+    beta = _positive("beta", beta)
     return 4 * beta * beta + 2 * beta + 3
 
 
@@ -174,8 +180,7 @@ class PrimeCountBound:
 def forced_prime_count(beta: int) -> PrimeCountBound:
     """Lower bound on how many prime divisors congruent to 1 mod 5 the
     squarefree-base form needs at common exponent beta."""
-    if beta < 1:
-        raise ValueError(f"need beta >= 1, got {beta}")
+    beta = _positive("beta", beta)
     lo, hi = log_enclosure(2 * beta + 1, DEFAULT_WIDTH)
     return PrimeCountBound(numerator=3 ** (2 * beta - 1) - 1, log_lower=lo, log_upper=hi)
 
@@ -188,8 +193,7 @@ def beta_feasible(beta: int) -> bool:
     tightened until it separates the two sides (it always does, the left
     side is an integer and the right side is irrational).
     """
-    if beta < 1:
-        raise ValueError(f"need beta >= 1, got {beta}")
+    beta = _positive("beta", beta)
     lhs = 3 ** (2 * beta - 1) - 1
     weight = omega_upper_bound(beta)
     width = DEFAULT_WIDTH
@@ -204,8 +208,7 @@ def beta_feasible(beta: int) -> bool:
 
 def alpha_exact_valuation(alpha: int, beta: int) -> bool:
     """Does 3^(2*beta - 1) exactly divide alpha + 1?"""
-    if alpha < 1 or beta < 1:
-        raise ValueError(f"need alpha >= 1 and beta >= 1, got alpha={alpha}, beta={beta}")
+    alpha, beta = _positive("alpha", alpha), _positive("beta", beta)
     return valuation(3, alpha + 1) == 2 * beta - 1
 
 
@@ -230,8 +233,7 @@ def forced_good_divisor(alpha: int, b: int) -> int | None:
     3 | 2b + 1 then 13 divides sigma(3^(2b)).  The division is verified
     exactly before returning; None when neither condition holds.
     """
-    if alpha < 1 or b < 1:
-        raise ValueError(f"need alpha >= 1 and b >= 1, got alpha={alpha}, b={b}")
+    alpha, b = _positive("alpha", alpha), _positive("b", b)
     if (alpha + 1) % 3 == 0:
         if sigma_prime_power(5, alpha) % 31 != 0:
             raise AssertionError(f"31 should divide sigma(5^{alpha})")

@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import math
 
 import pytest
 import sympy
 
-from goodprimes import factor
+from goodprimes import arith, factor
 from goodprimes.arith import is_prime, primes_up_to
 from goodprimes.factor import (
     DEFAULT_BUDGET,
@@ -274,3 +275,65 @@ def test_without_curves_factorize_is_rho_alone(monkeypatch):
     monkeypatch.setattr(factor, "_ECM_CURVES", 0)
     assert factorize(n) == Factorization(n, full, 1)
     assert factorize(n, mid) == Factorization(n, ((3, 1), (13, 1)), quick_leftover(x))
+
+
+@functools.cache
+def blocks_of_64(bound):
+    primes = primes_up_to(bound)
+    return [(math.prod(primes[i : i + 64]), primes[i : i + 64]) for i in range(0, len(primes), 64)]
+
+
+def trial_divide_to_the_end(n, bound, counts):
+    """The trial division loop before the proven-prime stop, kept as the reference:
+    blocks of 64 primes, screened by one gcd each until p * p passes the cofactor."""
+    cof = n
+    for prod, chunk in blocks_of_64(bound):
+        if cof == 1 or chunk[0] * chunk[0] > cof:
+            break
+        if math.gcd(cof, prod) == 1:
+            continue
+        for p in chunk:
+            if p * p > cof:
+                break
+            while cof % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                cof //= p
+    return cof
+
+
+@pytest.mark.parametrize("bound", [DEFAULT_BUDGET.trial_division_bound, 1000])
+def test_trial_division_matches_the_loop_it_replaced(bound, rng):
+    # the stop skips only primes that cannot divide a prime cofactor above the bound,
+    # and no block width can change a result
+    above = sympy.nextprime(arith._MR_DETERMINISTIC_BOUND)
+    inputs = [x * x + x + 1 for x in primes_up_to(3000) if x > 7]
+    inputs += [rng.randint(2, 10**12) for _ in range(2000)]
+    inputs += [6 * sympy.nextprime(bound), sympy.prevprime(bound) ** 2, sympy.nextprime(bound) ** 2]
+    inputs += [sympy.prevprime(10**6) * above, sympy.nextprime(10**6) * above, 2 * 999983]
+    for n in inputs:
+        counts, expected = {}, {}
+        assert factor._trial_divide(n, bound, counts) == trial_divide_to_the_end(n, bound, expected), n
+        assert counts == expected, n
+
+
+def test_trial_division_stops_at_a_proven_prime(monkeypatch):
+    screened, asked = [], []
+    blocks, primality = factor._prime_blocks, arith._primality
+    monkeypatch.setattr(factor, "_prime_blocks", lambda bound: (screened.append(b) or b for b in blocks(bound)))
+    monkeypatch.setattr(arith, "_primality", lambda n: asked.append(n) or primality(n))
+    bound = DEFAULT_BUDGET.trial_division_bound
+    proven = sympy.nextprime(2**59)  # 60 bits: the prime of 7 * proven is settled after the first block
+    counts = {}
+    assert factor._trial_divide(7 * proven, bound, counts) == proven and counts == {7: 1}
+    assert len(screened) <= 2 and proven in asked
+    # a cofactor is tested once, not again on each block that leaves it as it was
+    semiprime = sympy.nextprime(2**30) * sympy.nextprime(2**31)
+    asked.clear()
+    assert factor._trial_divide(semiprime, bound, {}) == semiprime and asked == [semiprime]
+    # above the deterministic bound primality is only probable, so every block is screened
+    probable = sympy.nextprime(arith._MR_DETERMINISTIC_BOUND)
+    screened.clear()
+    asked.clear()
+    counts = {}
+    assert factor._trial_divide(7 * probable, bound, counts) == probable and counts == {7: 1}
+    assert len(screened) == len(blocks(bound)) and probable not in asked

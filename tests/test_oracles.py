@@ -91,6 +91,29 @@ def test_witness_rejects_bad_args():
         sigma_exact_power(5, 1, 6, 3)
 
 
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (beta_feasible, (2.5,)),
+        (omega_upper_bound, (2.5,)),
+        (omega_upper_bound, (2.0,)),
+        (forced_prime_count, (2.5,)),
+        (alpha_exact_valuation, (2, 1.5)),
+        (alpha_exact_valuation, (2.0, 1)),
+        (sigma_exact_power, (3, 1.0, 2, 1)),
+        (sigma_exact_power, (3, 1, 2, 1.0)),
+        (sigma_coprime_to_five, (7, 1.5)),
+        (forced_good_divisor, (1.5, 1)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or repr(v),
+)
+def test_oracles_refuse_non_integers(oracle, args):
+    # several used to answer in float arithmetic: omega_upper_bound(2.5) was 33.0,
+    # forced_good_divisor(1.5, 1) was 13 and sigma_exact_power(3, 1.0, 2, 1) a witness with b=1.0
+    with pytest.raises(TypeError):
+        oracle(*args)
+
+
 def test_sigma_coprime_to_five_examples():
     assert sigma_coprime_to_five(3, 1)  # sigma(9) = 13
     assert sigma_coprime_to_five(7, 2)  # sigma(7^4) = 2801 = 1 mod 5
