@@ -221,6 +221,7 @@ def sigma(n: int, pairs) -> int:
     Non-integers, and pairs that are not a factorization of n (a missing
     cofactor, a composite, a repeated prime), are rejected.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     pairs = [(operator.index(p), operator.index(e)) for p, e in pairs]

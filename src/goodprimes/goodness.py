@@ -77,8 +77,8 @@ class ClosureState:
     (None for the root), so `path_to` follows canonical paths.  The
     `frontier` holds the members first reached at `depth` in canonical-path
     order: shortest path first, then the lexicographically smallest.
-    `complete` holds while every step taken factored completely or, for
-    a search that stopped at s, found every prime below s (`_step`).
+    `complete` holds while every step taken was settled (`_step`): it
+    factored completely or, where it stopped at s, found every prime below s.
     """
 
     root: int
@@ -151,47 +151,42 @@ def _no_factor_between(n: int, lo: int, hi: int) -> bool:
 
 
 def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[ClosureState, int | None]:
-    """`expand`, but stop at the first new child c with `stop(c, depth)`
+    """`expand`, but stop at the first new child s with `stop(s, depth)`
     and return it with the state, which then ends on a partial layer.
 
-    Each x^2 + x + 1 is factored once, in the stages of `factor._stages`.
-    With `stop`, the first stage (trial division, 2^16 rho iterations per
-    part, no ECM) may settle the step: if it falls short at s, the first
-    new child with `stop`, trial division found every prime to its bound,
-    so if the cofactor has no prime divisor from there to s, every prime
-    below s was found and the step counts as complete.  Otherwise, and
-    without `stop`, the second stage runs.
+    Each x^2 + x + 1 is factored once, stage by stage (`factor._stages`),
+    until a stage settles the step: its factorization is complete or, with
+    `stop`, its cofactor has no prime divisor between the trial-division
+    bound and s, so that every prime below s was found.  A step that no
+    stage settles clears `complete`.
     """
     complete = state.complete
     parents = dict(state.parents)
     frontier: list[int] = []
-    hit = None
+    hit, depth = None, state.depth + 1
     for x in state.frontier:
         if x <= 7:
             continue
-        stages = _stages(arith.cyclotomic_value(x), budget)
-        result = next(stages)
-        children = sorted(result.prime_divisors - parents.keys() - {3})
-        s = None if stop is None or result.complete else next((c for c in children if stop(c, state.depth + 1)), None)
-        if not result.complete and not (s and _no_factor_between(result.cofactor, budget.trial_division_bound, s)):
-            result = next(stages, result)
+        for result in _stages(arith.cyclotomic_value(x), budget):
             children = sorted(result.prime_divisors - parents.keys() - {3})
-            complete = complete and result.complete
+            hit = next((c for c in children if stop(c, depth)), None) if stop else None
+            if result.complete or (hit and _no_factor_between(result.cofactor, budget.trial_division_bound, hit)):
+                break
+        else:
+            complete = False
         if result.complete and result.prime_divisors <= {3}:
             raise AssertionError(f"x^2+x+1 reduced to a power of 3 at x={x}")
-        for child in children:
+        taken = children[: children.index(hit) + 1] if hit else children
+        for child in taken:
             parents[child] = x
-            frontier.append(child)
-            if stop is not None and stop(child, state.depth + 1):
-                hit = child
-                break
-        if hit is not None:
+        frontier += taken
+        if hit:
             break
 
     bad = _FORBIDDEN_MEMBERS.intersection(frontier)
     if bad:
         raise AssertionError(f"forbidden primes {sorted(bad)} reached the closure of {state.root}")
-    return ClosureState(state.root, state.depth + 1, parents, tuple(frontier), complete), hit
+    return ClosureState(state.root, depth, parents, tuple(frontier), complete), hit
 
 
 @dataclass(frozen=True)
@@ -346,8 +341,9 @@ def is_good(p: int, budget: SearchBudget = DEFAULT_BUDGET) -> GoodnessResult:
     each layer is walked in canonical order.  The search stops there, so
     `state` ends on a partial layer.  The certificate is canonical
     relative to the budget, and without qualification when
-    `result.state.complete` holds: every step taken factored completely
-    or, at the goal, found every prime below it.
+    `result.state.complete` holds: every step taken was settled, by a
+    complete factorization or, at the goal, a proof that it found every
+    prime below it.
     `not_good` is only reported for a genuinely saturated closure: no new
     members and every factorization complete.  Anything cut short by the
     depth or factoring budget is `inconclusive`.

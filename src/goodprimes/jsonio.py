@@ -1,11 +1,13 @@
 """Canonical JSON helpers shared by certificates and scan reports.
 
-All integers are serialized as decimal strings, and read back only from
-that canonical form.  Objects are dumped with sorted keys and fixed
-separators, so equal values always produce byte-identical text.
+All integers are serialized as decimal strings (non-integers are
+refused), and read back only from that canonical form.  Objects are
+dumped with sorted keys and fixed separators, so equal values always
+produce byte-identical text.
 """
 
 import json
+import operator
 
 
 def canonical_dumps(obj) -> str:
@@ -13,7 +15,7 @@ def canonical_dumps(obj) -> str:
 
 
 def dec(value: int) -> str:
-    return str(int(value))
+    return str(operator.index(value))
 
 
 def undec(text) -> int:

@@ -242,15 +242,15 @@ def _enumerate_form(bound: int, pool: list[int], matches, roots):
 
     Each root is (value, sigma(value), factors, exponents): a prime q of
     the ascending pool enters with one exponent of the ascending
-    `exponents`.  Returns the perfect candidates by value and the pool
-    primes of each candidate, one entry per candidate.
+    `exponents`.  Returns the perfect candidates by value and the
+    factorization of each candidate, one entry per candidate.
     """
     perfect: list[CandidateRecord] = []
-    prime_sets: list[tuple[int, ...]] = []
+    candidates: list[tuple[tuple[int, int], ...]] = []
     for root_value, root_sigma, root_factors, exponents in roots:
-        stack = [(0, root_value, root_sigma, root_factors, ())]
+        stack = [(0, root_value, root_sigma, root_factors)]
         while stack:
-            start_index, value, sigma_acc, factors, qs = stack.pop()
+            start_index, value, sigma_acc, factors = stack.pop()
             for j in range(start_index, len(pool)):
                 q = pool[j]
                 if value * q ** exponents[0] > bound:
@@ -265,10 +265,9 @@ def _enumerate_form(bound: int, pool: list[int], matches, roots):
                         raise AssertionError(f"enumerator left the form at {candidate}")
                     if cand_sigma == 2 * candidate:
                         perfect.append(CandidateRecord(candidate, cand_factors, cand_sigma))
-                    cand_qs = qs + (q,)
-                    prime_sets.append(cand_qs)
-                    stack.append((j + 1, candidate, cand_sigma, cand_factors, cand_qs))
-    return sorted(perfect, key=lambda rec: rec.value), prime_sets
+                    candidates.append(cand_factors)
+                    stack.append((j + 1, candidate, cand_sigma, cand_factors))
+    return sorted(perfect, key=lambda rec: rec.value), candidates
 
 
 def scan_squarefree_form(bound: int) -> ScanReport:
@@ -289,11 +288,11 @@ def scan_squarefree_form(bound: int) -> ScanReport:
         for beta in range(1, top)
         if 5**alpha * 9**beta <= bound
     ]
-    perfect, prime_sets = _enumerate_form(bound, pool, matches_squarefree_form, roots)
+    perfect, candidates = _enumerate_form(bound, pool, matches_squarefree_form, roots)
     return ScanReport(
         form=FORM_SQUAREFREE,
         bound=bound,
-        candidates_checked=len(prime_sets),
+        candidates_checked=len(candidates),
         counterexamples=tuple(perfect),
         perfect_found=(),
     )
@@ -327,13 +326,13 @@ def scan_cyclotomic_form(
         for b in range(1, top)
         if 5**a * 9**b * 49 <= bound
     ]
-    perfect, prime_sets = _enumerate_form(bound, pool, matches_cyclotomic_form, roots)
+    perfect, candidates = _enumerate_form(bound, pool, matches_cyclotomic_form, roots)
 
     notes: list[tuple[str, str]] = []
     if annotate_goodness:
         verdicts = goodness_verdicts([q for q in pool if q > 7], budget)
-        with_good = sum(1 for qs in prime_sets if any(verdicts.get(q) == GOOD for q in qs))
-        with_small = sum(1 for qs in prime_sets if any(q <= 157 for q in qs))
+        with_good = sum(any(verdicts.get(p) == GOOD for p, _ in factors) for factors in candidates)
+        with_small = sum(any(5 < p <= 157 for p, _ in factors) for factors in candidates)
         inconclusive = list(verdicts.values()).count(INCONCLUSIVE)
         notes = [
             ("candidates_with_good_prime", dec(with_good)),
@@ -345,7 +344,7 @@ def scan_cyclotomic_form(
     return ScanReport(
         form=FORM_CYCLOTOMIC,
         bound=bound,
-        candidates_checked=len(prime_sets),
+        candidates_checked=len(candidates),
         counterexamples=tuple(perfect),
         perfect_found=(),
         notes=tuple(notes),

@@ -376,6 +376,8 @@ def test_sigma_rejects_non_integers():
         sigma(6, [(2.5, 1), (3, 1)])
     with pytest.raises(TypeError):
         sigma(8, [(2, 3.9)])
+    with pytest.raises(TypeError):
+        sigma(6.0, [(2, 1), (3, 1)])  # raised AttributeError from n.bit_length()
     # integer types other than int pass
     assert sigma(8, [(np.int64(2), np.int64(3))]) == 15
     assert sigma(6, [(sympy.Integer(2), sympy.Integer(1)), (3, 1)]) == 12

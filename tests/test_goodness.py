@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 
@@ -23,6 +24,7 @@ from goodprimes.goodness import (
     is_good,
     verify_certificate,
 )
+from goodprimes.jsonio import dec
 
 # the published chain from 13, frozen
 S13 = {
@@ -249,6 +251,16 @@ def test_certificate_rejects_non_canonical_integers(field, value):
     data[field] = value
     with pytest.raises(ValueError):
         GoodnessCertificate.from_dict(data)
+
+
+def test_certificate_integers_must_be_integers():
+    # dec(2.7) was "2", so a float certificate wrote the integer one's text
+    with pytest.raises(TypeError):
+        GoodnessCertificate(31.0, (), 31.0, 3.0).to_json()
+    for bad in (2.7, 31.0, "31"):
+        with pytest.raises(TypeError):
+            dec(bad)
+    assert [dec(v) for v in (31, -5, np.int64(31), sympy.Integer(31))] == ["31", "-5", "31", "31"]
 
 
 def test_is_good_31():
@@ -563,3 +575,83 @@ def test_a_step_value_is_factored_once(monkeypatch):
     assert is_good(1217689472431).certificate.terminal == 40375821481
     assert quick and len(quick) == len(set(quick))
     assert len(ecm) == 1 and ecm[0] in quick
+
+
+# ---- the step draws factoring stages until one settles it -------------------
+
+LOW = SearchBudget(trial_division_bound=10)  # the range test covers (10, s)
+
+
+def goal(m, k):
+    return m % 7 in (2, 4)
+
+
+def fake_stages(monkeypatch, stages):
+    """Make `_stages` yield, for x^2 + x + 1, one Factorization per (primes,
+    cofactor) of stages[x]; returns the draws as (x, stage index)."""
+    draws = []
+
+    def fake(value, budget):
+        x = math.isqrt(value)
+        for i, (primes, cofactor) in enumerate(stages[x]):
+            draws.append((x, i))
+            yield Factorization(value, tuple((p, 1) for p in primes), cofactor)
+
+    monkeypatch.setattr(goodness, "_stages", fake)
+    return draws
+
+
+# 19, 31 and 37 lie in (10, 79), so a cofactor with one of them leaves the
+# goal child 79 unproved; 97 * 103 has no prime below 79.  Goals: 37, 79.
+UNSETTLED = ((79,), 19 * 97)
+SETTLED = ((19, 79), 97 * 103)
+
+
+@pytest.mark.parametrize("settles_at", [0, 1, 2])
+def test_step_draws_no_stage_after_the_one_that_settles_it(monkeypatch, settles_at):
+    stages = [UNSETTLED] * settles_at + [SETTLED] + [((19, 37, 79), 1)] * (2 - settles_at)
+    draws = fake_stages(monkeypatch, {13: stages, 17: [((43,), 1)]})
+    state = goodness.ClosureState(11, 1, {11: None, 13: 11, 17: 11}, (13, 17))
+    after, hit = goodness._step(state, LOW, goal)
+    # 17 is never stepped: the step stopped at 13's goal child
+    assert draws == [(13, i) for i in range(settles_at + 1)]
+    assert (hit, after.frontier, after.complete) == (79, (19, 79), True)
+
+
+def test_step_takes_children_up_to_the_hit_of_the_settling_stage(monkeypatch):
+    # the second stage finds the smaller goal child 37, which becomes the hit
+    draws = fake_stages(monkeypatch, {13: [UNSETTLED, ((19, 37, 61, 79), 97 * 103), SETTLED]})
+    after, hit = goodness._step(initial_state(13), LOW, goal)
+    assert (draws, hit, after.frontier, after.complete) == ([(13, 0), (13, 1)], 37, (19, 37), True)
+    assert after.parents == {13: None, 19: 13, 37: 13}
+
+
+def test_step_unsettled_by_every_stage_clears_complete(monkeypatch):
+    draws = fake_stages(monkeypatch, {13: [UNSETTLED] * 3})
+    after, hit = goodness._step(initial_state(13), LOW, goal)
+    assert (len(draws), hit, after.frontier, after.complete) == (3, 79, (79,), False)
+
+
+@pytest.mark.parametrize(
+    "stages, drawn, complete",
+    [
+        ([UNSETTLED, ((19, 79, 97), 1), SETTLED], 2, True),
+        ([UNSETTLED, UNSETTLED, ((19, 79, 97), 1)], 3, True),
+        ([UNSETTLED, UNSETTLED, SETTLED], 3, False),  # no stop, so no range test
+    ],
+)
+def test_expand_draws_until_complete_or_the_last_stage(monkeypatch, stages, drawn, complete):
+    draws = fake_stages(monkeypatch, {13: stages})
+    after = expand(initial_state(13), LOW)
+    assert (len(draws), after.complete) == (drawn, complete)
+    assert after.frontier == stages[drawn - 1][0]
+
+
+def test_last_stage_settled_by_the_range_test_stays_complete(monkeypatch):
+    # the last stage leaves a cofactor, but it has no prime between the
+    # trial-division bound and the goal child, so every prime below the
+    # goal was found; the step used to clear `complete` here
+    fake_stages(monkeypatch, {13: [((19,), 31 * 97), SETTLED]})
+    result = is_good(13, LOW)
+    assert result.certificate.terminal == 79
+    assert result.state.complete is True
