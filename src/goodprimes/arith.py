@@ -52,16 +52,19 @@ def primes_up_to(n: int) -> list[int]:
 
     n above `SIEVE_BOUND_LIMIT` raises ResourceLimitError.
     """
+    return np.flatnonzero(_prime_flags(n)).tolist()
+
+
+def _prime_flags(n: int) -> np.ndarray:
+    """Bools over 0..max(n, 1), true at the primes; the sieve behind `primes_up_to`."""
     if n > SIEVE_BOUND_LIMIT:
         raise ResourceLimitError(f"sieve bound {n} exceeds limit {SIEVE_BOUND_LIMIT}")
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
+    sieve = np.ones(max(n, 1) + 1, dtype=bool)
     sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
+    for p in range(2, math.isqrt(max(n, 1)) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].tolist()
+    return sieve
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:

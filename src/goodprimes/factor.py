@@ -1,10 +1,11 @@
 """Integer factorization with explicit effort budgets.
 
-Stage one is trial division up to a configurable bound and a short run of
-Brent's variant of the Pollard rho method on each composite left; stage two
-gives each part left Lenstra's elliptic-curve method (ECM) and the full rho
-run.  Rho walks c = 1, 2, 3, ..., ECM the curve seeds sigma = 6, 7, 8, ...,
-and nothing is stored between calls, so `factorize` is pure in (n, budget).
+Stage one is trial division up to a configurable bound (by 3 and the primes
+= 1 (mod 6) alone for a closure step's x^2 + x + 1: no other prime divides it)
+and a short run of Brent's variant of the Pollard rho method on each composite
+left; stage two gives each part left Lenstra's elliptic-curve method (ECM) and
+the full rho run.  Rho walks c = 1, 2, 3, ..., ECM the curve seeds sigma = 6,
+7, 8, ..., and nothing is stored between calls, so `factorize` is pure in (n, budget).
 
 Factors are (prime, exponent) int pairs in ascending prime order, the
 shape `arith.sigma` takes.  Partial results are first-class: the
@@ -18,6 +19,8 @@ import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import arith
 
@@ -93,23 +96,26 @@ class Factorization:
 
 
 @functools.cache
-def _prime_blocks(bound: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    # products of _BLOCK_PRIMES primes at a time; one gcd screens a whole block
-    primes = arith.primes_up_to(bound)
+def _prime_blocks(bound: int, step: bool = False) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # products of _BLOCK_PRIMES primes at a time; one gcd screens a whole block.  A step's table
+    # keeps 3 and the primes = 1 (mod 6): x has order 3 modulo any other prime dividing x^2 + x + 1
+    primes = np.flatnonzero(arith._prime_flags(bound))
+    primes = (primes[(primes % 6 == 1) | (primes == 3)] if step else primes).tolist()
     chunks = (tuple(primes[i : i + _BLOCK_PRIMES]) for i in range(0, len(primes), _BLOCK_PRIMES))
     return tuple((math.prod(chunk), chunk) for chunk in chunks)
 
 
-def _trial_divide(n: int, bound: int, counts: dict[int, int]) -> int:
+def _trial_divide(n: int, bound: int, counts: dict[int, int], blocks=None) -> int:
     """Divide n by each prime p <= bound while p * p <= what is left; returns the cofactor.
 
     The cofactor is 1, a prime (possibly <= bound: 2 * 999983 leaves 999983),
     or a composite with no prime factor <= bound.  A cofactor in
     (bound, _MR_DETERMINISTIC_BOUND) that `primality` proves prime ends the
     search early: no prime <= bound divides it, so the result is the same.
+    `blocks(bound)` is the table (default `_prime_blocks`); a step's omits no prime of x^2 + x + 1.
     """
     cof, tested = n, 0
-    for prod, chunk in _prime_blocks(bound):
+    for prod, chunk in (blocks or _prime_blocks)(bound):
         if cof == 1 or chunk[0] * chunk[0] > cof:
             break
         if bound < cof != tested:  # the first block, or the last one stripped a factor
@@ -215,9 +221,7 @@ def _ecm_split(n: int) -> int | None:
     order with one more prime up to B2.  A curve whose gcd is n is skipped.
     """
     k = math.lcm(*range(1, _ECM_B1 + 1))
-    is_p = bytearray(_ECM_B2 + 2 * _ECM_D)
-    for p in arith.primes_up_to(len(is_p) - 1):
-        is_p[p] = 1
+    is_p = arith._prime_flags(_ECM_B2 + 2 * _ECM_D).tobytes()  # bytes index faster than numpy
     js = [j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1]
     for sigma in range(6, 6 + _ECM_CURVES):
         u, v = sigma * sigma - 5, 4 * sigma
@@ -259,13 +263,13 @@ def _first_pass(parts: list[int], cap: int, counts: dict[int, int], left: list[i
             parts += divisor, m // divisor
 
 
-def _stages(n: int, budget: SearchBudget) -> Iterator[Factorization]:
-    """Yield `factorize(n, budget)` after trial division and `_first_pass`, then, under
-    a cap above 2^16, after ECM and the full rho run on each part left; split pieces get
-    the first pass first.  What happens to a part depends on that part alone."""
+def _stages(n: int, budget: SearchBudget, blocks=None) -> Iterator[Factorization]:
+    """Yield `factorize(n, budget)` after trial division (`_trial_divide` by `blocks`) and
+    `_first_pass`, then, under a cap above 2^16, after ECM and the full rho run on each part
+    left; split pieces get the first pass first.  What happens to a part depends on it alone."""
     counts: dict[int, int] = {}
     cap = budget.rho_iteration_cap
-    cof = _trial_divide(n, budget.trial_division_bound, counts)
+    cof = _trial_divide(n, budget.trial_division_bound, counts, blocks)
     left, unsplit = [], []
     _first_pass([cof] if cof > 1 else [], cap, counts, left)
     yield Factorization(n, tuple(sorted(counts.items())), math.prod(left))

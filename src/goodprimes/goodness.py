@@ -34,12 +34,13 @@ defined for primes > 7 only).
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from . import arith
-from .factor import DEFAULT_BUDGET, SearchBudget, _stages
+from . import arith, factor
+from .factor import DEFAULT_BUDGET, SearchBudget
 from .jsonio import canonical_dumps, dec, undec
 
 GOAL_MODULUS = 7
@@ -51,6 +52,7 @@ INCONCLUSIVE = "inconclusive"
 
 _FORBIDDEN_MEMBERS = frozenset({2, 3, 5})
 _SEGMENT = 2**17  # k per sieved segment in `_no_factor_between`
+_stages = partial(factor._stages, blocks=partial(factor._prime_blocks, step=True))  # see `_step`
 
 
 def is_goal_prime(p: int) -> bool:
@@ -158,7 +160,8 @@ def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[Closure
     until a stage settles the step: its factorization is complete or, with
     `stop`, its cofactor has no prime divisor between the trial-division
     bound and s, so that every prime below s was found.  A step that no
-    stage settles clears `complete`.
+    stage settles clears `complete`.  Trial division screens by 3 and the
+    primes = 1 (mod 6) alone, which gives `factorize`'s stages.
     """
     complete = state.complete
     parents = dict(state.parents)
@@ -219,6 +222,8 @@ class GoodnessCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GoodnessCertificate":
+        if unknown := set(data) - {"root", "path", "terminal", "terminal_residue"}:
+            raise ValueError(f"unknown certificate keys {sorted(unknown)}")
         return cls(
             root=undec(data["root"]),
             path=tuple((undec(a), undec(v), undec(b)) for a, v, b in data["path"]),

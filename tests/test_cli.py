@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -105,6 +106,21 @@ def test_verify_rejects_json_number(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(cert_file))
     assert code == EXIT_USAGE
     assert "not a decimal string" in err and out == ""
+
+
+def test_verify_stdin_refuses_unknown_keys(tmp_path, capsys, monkeypatch):
+    cert_file = tmp_path / "cert.json"
+    run_cli(capsys, "cert", "31", "-o", str(cert_file))
+    text = cert_file.read_text()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run_cli(capsys, "verify", "-")[:2] == (EXIT_OK, "valid: 31 -> 331 (depth 1)\n")
+    data = json.loads(text)
+    for extra in ({"comment": "x"}, {"root ": "31"}):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({**data, **extra})))
+        code, out, err = run_cli(capsys, "verify", "-")
+        assert code == EXIT_USAGE and out == "" and "unknown certificate keys" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[]"))
+    assert run_cli(capsys, "verify", "-")[0] == EXIT_USAGE
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import pytest
 import sympy
 
-from goodprimes import arith, factor
+from goodprimes import arith, factor, goodness
 from goodprimes.arith import is_prime, primes_up_to
 from goodprimes.factor import (
     DEFAULT_BUDGET,
@@ -337,3 +338,70 @@ def test_trial_division_stops_at_a_proven_prime(monkeypatch):
     counts = {}
     assert factor._trial_divide(7 * probable, bound, counts) == probable and counts == {7: 1}
     assert len(screened) == len(blocks(bound)) and probable not in asked
+
+
+def step_blocks(bound):
+    return factor._prime_blocks(bound, step=True)
+
+
+def step_inputs(rng):
+    # 3 divides x^2 + x + 1 exactly when x = 1 (mod 3), about a third of the seeded x
+    xs = [p for p in primes_up_to(3000) if p > 7] + [1217689472431]
+    return [x * x + x + 1 for x in xs + [rng.randint(8, 2**40) for _ in range(200)]]
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [DEFAULT_BUDGET]
+    + [SearchBudget(trial_division_bound=b, rho_iteration_cap=1) for b in (2, 3, 6, 1000, 10**6)],
+    ids=repr,
+)
+def test_step_table_gives_the_same_stages(budget, rng):
+    # only primes that cannot divide x^2 + x + 1 are left out, so the cofactor
+    # handed to rho and ECM, and with it each stage, is the every-prime one; the
+    # default budget follows it through ECM and the full rho run, and a rho cap
+    # of 1 keeps the small bounds (below 3, below 7) about trial division
+    bound = budget.trial_division_bound
+    for n in step_inputs(rng):
+        stages = itertools.zip_longest(goodness._stages(n, budget), factor._stages(n, budget))
+        for ours, every in stages:
+            assert ours == every, n
+        counts, expected = {}, {}
+        cofactor = factor._trial_divide(n, bound, counts, step_blocks)
+        assert cofactor == trial_divide_to_the_end(n, bound, expected) and counts == expected, n
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 6, 7, 13, 1000, DEFAULT_BUDGET.trial_division_bound])
+def test_step_table_holds_3_and_the_primes_1_mod_6(bound):
+    blocks, every = step_blocks(bound), factor._prime_blocks(bound)
+    expected = [p for p in primes_up_to(bound) if p == 3 or p % 6 == 1]
+    assert [p for _, chunk in blocks for p in chunk] == expected
+    assert all(prod == math.prod(chunk) and len(chunk) <= factor._BLOCK_PRIMES for prod, chunk in blocks)
+    assert {type(p) for _, chunk in blocks for p in chunk} <= {int}  # a numpy int would wrap in the product
+    assert len(blocks) <= -(-len(every) // 2) + 1
+    if bound == DEFAULT_BUDGET.trial_division_bound:
+        assert (len(every), len(blocks)) == (614, 307)
+
+
+def test_closure_steps_never_screen_2_or_primes_5_mod_6(monkeypatch):
+    screened = {}
+    trial_divide = factor._trial_divide
+
+    def spy(n, bound, counts, blocks=None):
+        def recording(b):
+            for prod, chunk in (blocks or factor._prime_blocks)(b):
+                screened.setdefault("step" if blocks else "every", set()).update(chunk)
+                yield prod, chunk
+
+        return trial_divide(n, bound, counts, recording)
+
+    monkeypatch.setattr(factor, "_trial_divide", spy)
+    for p in (13, 31, 1217689472431):
+        goodness.is_good(p)
+    steps = screened.pop("step")
+    assert 3 in steps and 7 in steps and screened == {}
+    assert all(p == 3 or p % 6 == 1 for p in steps)
+    # factorize keeps the every-prime table, so it strips primes = 5 (mod 6)
+    assert factorize(11 * 1000003) == Factorization(11 * 1000003, ((11, 1), (1000003, 1)), 1)
+    assert factorize(17 * 999983) == Factorization(17 * 999983, ((17, 1), (999983, 1)), 1)
+    assert {2, 11, 17} <= screened["every"]

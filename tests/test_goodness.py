@@ -253,6 +253,14 @@ def test_certificate_rejects_non_canonical_integers(field, value):
         GoodnessCertificate.from_dict(data)
 
 
+def test_certificate_refuses_unknown_keys():
+    # an added key would not round-trip to the canonical text, so it is refused
+    text = is_good(31).certificate.to_json()
+    assert GoodnessCertificate.from_json(text).to_json() == text
+    with pytest.raises(ValueError, match="unknown certificate keys"):
+        GoodnessCertificate.from_json(text[:-1] + ',"comment":"x"}')
+
+
 def test_certificate_integers_must_be_integers():
     # dec(2.7) was "2", so a float certificate wrote the integer one's text
     with pytest.raises(TypeError):
