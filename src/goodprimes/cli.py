@@ -99,6 +99,11 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _confidence(primes) -> str:
+    # beyond the deterministic witness range primality is high-confidence (BPSW), and says so
+    return "probable" if any(arith.primality(p) == arith.PROBABLE_PRIME for p in primes) else "proven"
+
+
 _VERDICT_EXIT = {GOOD: EXIT_OK, NOT_GOOD: EXIT_FAIL, INCONCLUSIVE: EXIT_BUDGET}
 
 
@@ -143,7 +148,9 @@ def _cmd_verify(args, budget) -> int:
         return _usage_error(f"cannot read certificate: {exc}")
     check = verify_certificate(cert)
     if check.ok:
-        print(f"valid: {cert.root} -> {cert.terminal} (depth {cert.depth})")
+        confidence = _confidence([cert.root, *(b for *_, b in cert.path)])
+        suffix = "" if confidence == "proven" else "  [primality: probable]"
+        print(f"valid: {cert.root} -> {cert.terminal} (depth {cert.depth}){suffix}")
         return EXIT_OK
     print(f"INVALID: {check.failure}")
     return EXIT_FAIL
@@ -220,11 +227,7 @@ def _cmd_oracle(args, budget) -> int:
 
 def _cmd_factor(args, budget) -> int:
     result = factorize(args.n, budget)
-    # primality beyond the deterministic witness range is high-confidence
-    # (strong base-2 + strong Lucas), and says so
-    confidence = "proven"
-    if any(arith.primality(p) == arith.PROBABLE_PRIME for p, _ in result.factors):
-        confidence = "probable"
+    confidence = _confidence(p for p, _ in result.factors)
     if args.format == "json":
         record = {
             "target": dec(result.target),

@@ -1,17 +1,18 @@
 """Integer factorization with explicit effort budgets.
 
-Stage one is trial division up to a configurable bound (by 3 and the primes
-= 1 (mod 6) alone for a closure step's x^2 + x + 1: no other prime divides it)
-and a short run of Brent's variant of the Pollard rho method on each composite
-left; stage two gives each part left Lenstra's elliptic-curve method (ECM) and
-the full rho run.  Rho walks c = 1, 2, 3, ..., ECM the curve seeds sigma = 6,
-7, 8, ..., and nothing is stored between calls, so `factorize` is pure in (n, budget).
+Trial division to a configurable bound (by 3 and the primes = 1 (mod 6) alone for a
+closure step's x^2 + x + 1: no other prime divides it) comes first.  Then each splitter
+of an ordered list runs on every composite part until each part is prime, wider than 512
+bits, or one it fails on; a split piece goes straight back to the same splitter.  The
+list: Brent's variant of the Pollard rho method for min(cap, 2^16) iterations, then, only
+under a rho cap above 2^16, Lenstra's elliptic-curve method (ECM) and, if it finds
+nothing, the full rho run to the cap.  Rho walks c = 1, 2, 3, ..., ECM the curve seeds
+sigma = 6, 7, 8, ..., and nothing is stored between calls, so `factorize` is pure in (n, budget).
 
-Factors are (prime, exponent) int pairs in ascending prime order, the
-shape `arith.sigma` takes.  Partial results are first-class: the
-composite part left unsplit is reported as a cofactor.  Callers that
-only need *some* prime divisors can use what was found; callers that
-need completeness check `complete`.
+Factors are (prime, exponent) int pairs in ascending prime order, the shape
+`arith.sigma` takes.  Partial results are first-class: the composite part left
+unsplit is reported as a cofactor.  Callers that only need *some* prime divisors
+can use what was found; callers that need completeness check `complete`.
 """
 
 import functools
@@ -30,10 +31,14 @@ STATUS_EXHAUSTED = "exhausted"
 _RHO_BATCH = 128
 _BLOCK_PRIMES = 128  # primes per trial-division gcd; 256 saves little more and is slower on small n
 _MAX_RHO_BITS = 512  # wider composites are left unsplit ("exhausted"), never handed to rho
-_QUICK_CAP = 2**16  # rho's first pass (Brent runs 2^17 - 2 on a part that does not split)
+_QUICK_CAP = 2**16  # the first splitter's rho cap (Brent runs 2^17 - 2 on a part that does not split)
 _ECM_CURVES = 100  # ECM runs only under a rho cap above _QUICK_CAP
 _ECM_B1, _ECM_B2 = 2000, 150_000  # stage 1 and stage 2 bounds
 _ECM_D = 2310  # 2*3*5*7*11: stage 2 meets a prime p as m*D +- j with gcd(j, D) = 1
+_SPLITTERS = (  # the module docstring's list, called as split(m, cap); the second needs cap > _QUICK_CAP
+    lambda m, cap: _rho_split(m, min(cap, _QUICK_CAP)),
+    lambda m, cap: _ecm_split(m) or _rho_split(m, cap),
+)
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,8 @@ class SearchBudget:
 
     Defaults: trial division to 1e6, 1e7 rho iterations per composite,
     closure depth 12.  No budget hands rho a composite over 512 bits.
-    A rho cap above 2^16 also buys up to 100 ECM curves per composite,
-    between the first 2^16 rho iterations and the full rho run.
+    A rho cap above 2^16 also buys the module's second splitter: up to
+    100 ECM curves per composite, then the full rho run.
 
     Brent's rho checks `rho_iteration_cap` only at the end of a doubling
     round, so an attempt that finds no divisor spends the smallest
@@ -251,47 +256,34 @@ def _ecm_split(n: int) -> int | None:
     return None
 
 
-def _first_pass(parts: list[int], cap: int, counts: dict[int, int], left: list[int]) -> None:
-    """Split parts by rho's first min(cap, 2^16) iterations; the composites it leaves go to `left`."""
-    while parts:
-        m = parts.pop()
-        if arith.is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-        elif m.bit_length() > _MAX_RHO_BITS or (divisor := _rho_split(m, min(cap, _QUICK_CAP))) is None:
-            left.append(m)
-        else:
-            parts += divisor, m // divisor
-
-
 def _stages(n: int, budget: SearchBudget, blocks=None) -> Iterator[Factorization]:
-    """Yield `factorize(n, budget)` after trial division (`_trial_divide` by `blocks`) and
-    `_first_pass`, then, under a cap above 2^16, after ECM and the full rho run on each part
-    left; split pieces get the first pass first.  What happens to a part depends on it alone."""
+    """Yield `factorize(n, budget)` after trial division by `blocks` and each splitter, until no part is left."""
     counts: dict[int, int] = {}
     cap = budget.rho_iteration_cap
     cof = _trial_divide(n, budget.trial_division_bound, counts, blocks)
-    left, unsplit = [], []
-    _first_pass([cof] if cof > 1 else [], cap, counts, left)
-    yield Factorization(n, tuple(sorted(counts.items())), math.prod(left))
-    if cap > _QUICK_CAP and left:
-        while left:
-            m = left.pop()
-            if m.bit_length() > _MAX_RHO_BITS or not (divisor := _ecm_split(m) or _rho_split(m, cap)):
-                unsplit.append(m)
+    left = [cof] if cof > 1 else []
+    for split in _SPLITTERS[: 1 + (cap > _QUICK_CAP)]:
+        parts, left = left, []
+        while parts:
+            m = parts.pop()
+            if arith.is_prime(m):
+                counts[m] = counts.get(m, 0) + 1
+            elif m.bit_length() > _MAX_RHO_BITS or (divisor := split(m, cap)) is None:
+                left.append(m)
             else:
-                _first_pass([divisor, m // divisor], cap, counts, left)
-        yield Factorization(n, tuple(sorted(counts.items())), math.prod(unsplit))
+                parts += divisor, m // divisor
+        yield Factorization(n, tuple(sorted(counts.items())), math.prod(left))
+        if not left:
+            break
 
 
 def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n within the given budget; never fails, may return incomplete.
 
-    Completeness is guaranteed whenever the second-largest prime factor of n is at most
-    the trial division bound, and holds in practice far beyond that
-    (rho splits anything whose second-largest prime factor is roughly
-    below the square of the iteration cap).  Each composite part gets rho
-    with a cap of min(cap, 2^16), then, if cap > 2^16, ECM and the full rho
-    run from c = 1: the two stages of `_stages`.  Status values:
+    Completeness is guaranteed whenever the second-largest prime factor of n is at most the
+    trial division bound, and holds in practice far beyond that (rho splits anything whose
+    second-largest prime factor is roughly below the square of the iteration cap).  Each
+    composite part goes through the module's splitters, one stage of `_stages` each.  Status values:
 
     - "complete":  cofactor 1, all prime powers certified.
     - "exhausted": a composite part is left as the cofactor: rho (and

@@ -222,11 +222,15 @@ class GoodnessCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GoodnessCertificate":
+        if not isinstance(data, dict):
+            raise ValueError(f"a certificate is a JSON object, not {type(data).__name__}")
         if unknown := set(data) - {"root", "path", "terminal", "terminal_residue"}:
             raise ValueError(f"unknown certificate keys {sorted(unknown)}")
+        if not isinstance(path := data["path"], list) or not all(isinstance(e, list) and len(e) == 3 for e in path):
+            raise ValueError("a certificate path is a list of [x, x^2 + x + 1, next] lists")
         return cls(
             root=undec(data["root"]),
-            path=tuple((undec(a), undec(v), undec(b)) for a, v, b in data["path"]),
+            path=tuple((undec(a), undec(v), undec(b)) for a, v, b in path),
             terminal=undec(data["terminal"]),
             terminal_residue=undec(data["terminal_residue"]),
         )

@@ -123,6 +123,15 @@ def test_verify_stdin_refuses_unknown_keys(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "verify", "-")[0] == EXIT_USAGE
 
 
+def test_verify_stdin_refuses_a_path_of_the_wrong_shape(capsys, monkeypatch):
+    # both used to parse, as the edge (7, 8, 9) and as the digits of "123", and fail as INVALID
+    data = json.loads(run_cli(capsys, "cert", "31")[1])
+    for path in (["789"], {"123": "1"}):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({**data, "path": path})))
+        code, out, err = run_cli(capsys, "verify", "-")
+        assert code == EXIT_USAGE and out == "" and "certificate path" in err
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "cert", "31", "-o", str(tmp_path / "missing" / "cert.json"))
     assert code == EXIT_USAGE

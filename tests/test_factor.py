@@ -220,6 +220,28 @@ def test_no_ecm_at_or_below_the_quick_cap(monkeypatch):
     assert calls == [quick_leftover(x)]
 
 
+def test_a_piece_that_ecm_splits_off_goes_back_to_ecm(monkeypatch, rng):
+    # the 2^16 rho pass fails on this product of three primes of about 40 bits;
+    # the composite piece ECM leaves goes straight to ECM, not to another 2^16 pass
+    primes = sorted(sympy.nextprime(rng.getrandbits(40)) for _ in range(3))
+    n = math.prod(primes)
+    expected = Factorization(n, tuple((p, 1) for p in primes), 1)
+    assert single_pass(n, DEFAULT_BUDGET) == expected  # the result before the splitter loop
+    quick, ecm = [], []
+    rho_split, ecm_split = factor._rho_split, factor._ecm_split
+
+    def rho_spy(m, cap):
+        if cap <= factor._QUICK_CAP:
+            quick.append(m)
+        return rho_split(m, cap)
+
+    monkeypatch.setattr(factor, "_rho_split", rho_spy)
+    monkeypatch.setattr(factor, "_ecm_split", lambda m: ecm.append(m) or ecm_split(m))
+    assert factorize(n) == expected
+    assert quick == [n] and len(ecm) == 2 and ecm[0] == n
+    assert n % ecm[1] == 0 and not is_prime(ecm[1])
+
+
 def single_pass(n, budget):
     """The one-loop factorizer that `_stages` replaced, kept as the reference:
     each part gets the 2^16 rho pass, then under a larger cap ECM and the full run."""

@@ -1,13 +1,15 @@
+import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 import sympy
 
-from goodprimes import factor, goodness
+from goodprimes import arith, cli, factor, goodness
 from goodprimes.factor import Factorization, SearchBudget
 from goodprimes.goodness import (
     GOOD,
@@ -251,6 +253,20 @@ def test_certificate_rejects_non_canonical_integers(field, value):
     data[field] = value
     with pytest.raises(ValueError):
         GoodnessCertificate.from_dict(data)
+
+
+@pytest.mark.parametrize("path", [["789"], {"123": "1"}, [["31", "993"]], "31"], ids=repr)
+def test_certificate_refuses_a_path_that_is_not_a_list_of_edges(path):
+    # ["789"] used to unpack as the edge (7, 8, 9), and an object as the digits of its keys
+    data = is_good(31).certificate.to_dict()
+    with pytest.raises(ValueError, match="path"):
+        GoodnessCertificate.from_dict({**data, "path": path})
+
+
+@pytest.mark.parametrize("document", [[], ["root", "path", "terminal", "terminal_residue"], "31", 31, None], ids=repr)
+def test_certificate_is_a_json_object(document):
+    with pytest.raises(ValueError, match="JSON object"):
+        GoodnessCertificate.from_dict(document)
 
 
 def test_certificate_refuses_unknown_keys():
@@ -548,6 +564,18 @@ def test_stop_aware_step_skips_the_failed_rho(monkeypatch, root):
     assert result.certificate.to_json() == PINNED[root]
     assert result.state.complete is True
     assert caps and max(caps) <= factor._QUICK_CAP
+
+
+def test_verify_labels_a_certificate_on_a_probable_prime(monkeypatch, capsys):
+    # this certificate's 148-bit edge prime is BPSW-probable, beyond Miller-Rabin's deterministic range
+    probable = 238495876985052417264080885682324718735289869
+    assert arith.primality(probable) == arith.PROBABLE_PRIME
+    monkeypatch.setattr(sys, "stdin", io.StringIO(PINNED[1328304987677]))
+    assert cli.main(["verify", "-"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "valid: 1328304987677 -> 51347167 (depth 3)  [primality: probable]\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(PINNED[2477]))
+    assert cli.main(["verify", "-"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "valid: 2477 -> 36691 (depth 4)\n"
 
 
 def test_quick_pass_primes_are_a_subset_of_the_full_budgets(monkeypatch):
