@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trial-bound", type=int, default=DEFAULT_BUDGET.trial_division_bound, help="trial division bound"
     )
     parser.add_argument(
-        "--rho-cap", type=int, default=DEFAULT_BUDGET.rho_iteration_cap, help="rho iterations per composite"
+        "--rho-cap", type=int, default=DEFAULT_BUDGET.rho_iteration_cap, help="rho iterations (<= 2^16); more adds ECM"
     )
     parser.add_argument("--format", choices=("text", "json"), default="text", help="output format (default text)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -144,7 +144,7 @@ def _cmd_verify(args, budget) -> int:
             with open(args.file) as fh:
                 text = fh.read()
         cert = GoodnessCertificate.from_json(text)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         return _usage_error(f"cannot read certificate: {exc}")
     check = verify_certificate(cert)
     if check.ok:

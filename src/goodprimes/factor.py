@@ -5,9 +5,9 @@ closure step's x^2 + x + 1: no other prime divides it) comes first.  Then each s
 of an ordered list runs on every composite part until each part is prime, wider than 512
 bits, or one it fails on; a split piece goes straight back to the same splitter.  The
 list: Brent's variant of the Pollard rho method for min(cap, 2^16) iterations, then, only
-under a rho cap above 2^16, Lenstra's elliptic-curve method (ECM) and, if it finds
-nothing, the full rho run to the cap.  Rho walks c = 1, 2, 3, ..., ECM the curve seeds
-sigma = 6, 7, 8, ..., and nothing is stored between calls, so `factorize` is pure in (n, budget).
+under a rho cap above 2^16, Lenstra's elliptic-curve method (ECM).  Rho walks
+c = 1, 2, 3, ..., ECM the curve seeds sigma = 6, 7, 8, ..., and nothing is stored between
+calls, so `factorize` is pure in (n, budget).
 
 Factors are (prime, exponent) int pairs in ascending prime order, the shape
 `arith.sigma` takes.  Partial results are first-class: the composite part left
@@ -30,14 +30,14 @@ STATUS_EXHAUSTED = "exhausted"
 
 _RHO_BATCH = 128
 _BLOCK_PRIMES = 128  # primes per trial-division gcd; 256 saves little more and is slower on small n
-_MAX_RHO_BITS = 512  # wider composites are left unsplit ("exhausted"), never handed to rho
+_MAX_RHO_BITS = 512  # wider composites are left unsplit ("exhausted"), never handed to a splitter
 _QUICK_CAP = 2**16  # the first splitter's rho cap (Brent runs 2^17 - 2 on a part that does not split)
 _ECM_CURVES = 100  # ECM runs only under a rho cap above _QUICK_CAP
 _ECM_B1, _ECM_B2 = 2000, 150_000  # stage 1 and stage 2 bounds
 _ECM_D = 2310  # 2*3*5*7*11: stage 2 meets a prime p as m*D +- j with gcd(j, D) = 1
-_SPLITTERS = (  # the module docstring's list, called as split(m, cap); the second needs cap > _QUICK_CAP
+_SPLITTERS = (  # the module docstring's list, called as split(m, cap); the second runs only when cap > _QUICK_CAP
     lambda m, cap: _rho_split(m, min(cap, _QUICK_CAP)),
-    lambda m, cap: _ecm_split(m) or _rho_split(m, cap),
+    lambda m, cap: _ecm_split(m),
 )
 
 
@@ -45,15 +45,10 @@ _SPLITTERS = (  # the module docstring's list, called as split(m, cap); the seco
 class SearchBudget:
     """Effort limits for factoring and for the closure search.
 
-    Defaults: trial division to 1e6, 1e7 rho iterations per composite,
-    closure depth 12.  No budget hands rho a composite over 512 bits.
-    A rho cap above 2^16 also buys the module's second splitter: up to
-    100 ECM curves per composite, then the full rho run.
-
-    Brent's rho checks `rho_iteration_cap` only at the end of a doubling
-    round, so an attempt that finds no divisor spends the smallest
-    2^j - 2 >= cap iterations: 2^24 - 2 = 16 777 214 for the default,
-    and never more than about twice the cap.
+    Defaults: trial division to 1e6, rho cap 1e7, closure depth 12.  Rho
+    runs to min(cap, 2^16) per composite (2^17 - 2 iterations, as Brent's
+    rounds end, on one that does not split); any cap above 2^16 buys ECM
+    too, up to 100 curves.  No splitter gets a composite over 512 bits.
     """
 
     trial_division_bound: int = 10**6
@@ -281,9 +276,9 @@ def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n within the given budget; never fails, may return incomplete.
 
     Completeness is guaranteed whenever the second-largest prime factor of n is at most the
-    trial division bound, and holds in practice far beyond that (rho splits anything whose
-    second-largest prime factor is roughly below the square of the iteration cap).  Each
-    composite part goes through the module's splitters, one stage of `_stages` each.  Status values:
+    trial division bound, and holds in practice well beyond that: the 2^16 rho pass splits off
+    primes up to about 2^32, and ECM (under a cap above 2^16) most primes up to about 50 bits.
+    Each composite part goes through the module's splitters, one stage of `_stages` each.  Status values:
 
     - "complete":  cofactor 1, all prime powers certified.
     - "exhausted": a composite part is left as the cofactor: rho (and

@@ -224,8 +224,10 @@ class GoodnessCertificate:
     def from_dict(cls, data: dict) -> "GoodnessCertificate":
         if not isinstance(data, dict):
             raise ValueError(f"a certificate is a JSON object, not {type(data).__name__}")
-        if unknown := set(data) - {"root", "path", "terminal", "terminal_residue"}:
-            raise ValueError(f"unknown certificate keys {sorted(unknown)}")
+        keys = {"root", "path", "terminal", "terminal_residue"}
+        for kind, wrong in (("unknown", set(data) - keys), ("missing", keys - set(data))):
+            if wrong:
+                raise ValueError(f"{kind} certificate keys {sorted(wrong)}")
         if not isinstance(path := data["path"], list) or not all(isinstance(e, list) and len(e) == 3 for e in path):
             raise ValueError("a certificate path is a list of [x, x^2 + x + 1, next] lists")
         return cls(

@@ -123,6 +123,15 @@ def test_verify_stdin_refuses_unknown_keys(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "verify", "-")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("key", ["root", "path", "terminal", "terminal_residue"])
+def test_verify_stdin_refuses_missing_keys(key, capsys, monkeypatch):
+    data = json.loads(run_cli(capsys, "cert", "31")[1])
+    del data[key]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+    code, out, err = run_cli(capsys, "verify", "-")
+    assert code == EXIT_USAGE and out == "" and f"missing certificate keys ['{key}']" in err
+
+
 def test_verify_stdin_refuses_a_path_of_the_wrong_shape(capsys, monkeypatch):
     # both used to parse, as the edge (7, 8, 9) and as the digits of "123", and fail as INVALID
     data = json.loads(run_cli(capsys, "cert", "31")[1])

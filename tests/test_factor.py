@@ -244,7 +244,7 @@ def test_a_piece_that_ecm_splits_off_goes_back_to_ecm(monkeypatch, rng):
 
 def single_pass(n, budget):
     """The one-loop factorizer that `_stages` replaced, kept as the reference:
-    each part gets the 2^16 rho pass, then under a larger cap ECM and the full run."""
+    each part gets the 2^16 rho pass, then under a larger cap ECM."""
     counts, leftovers = {}, []
     cof = factor._trial_divide(n, budget.trial_division_bound, counts)
     pending = [cof] if cof > 1 else []
@@ -258,7 +258,7 @@ def single_pass(n, budget):
         if m.bit_length() <= factor._MAX_RHO_BITS:
             divisor = factor._rho_split(m, min(cap, factor._QUICK_CAP))
             if divisor is None and cap > factor._QUICK_CAP:
-                divisor = factor._ecm_split(m) or factor._rho_split(m, cap)
+                divisor = factor._ecm_split(m)
         if divisor is None:
             leftovers.append(m)
         else:
@@ -288,16 +288,20 @@ def test_stages_match_the_single_pass_they_replaced(budget):
 
 
 def test_without_curves_factorize_is_rho_alone(monkeypatch):
-    # rho splits this 76-bit leftover only after 2^16 iterations: under the
-    # default cap, and not under 2^17, where ECM still completes the result
+    # ECM splits this 76-bit leftover; without curves it stays whole under
+    # every cap, since no rho run ever goes past the 2^16 pass
     x = 1217689472431
     n = x * x + x + 1
     full = ((3, 1), (13, 1), (40375821481, 1), (941644825327, 1))
     mid = SearchBudget(rho_iteration_cap=2**17)
     assert factorize(n).factors == factorize(n, mid).factors == full
+    caps = []
+    rho_split = factor._rho_split
+    monkeypatch.setattr(factor, "_rho_split", lambda m, cap: caps.append(cap) or rho_split(m, cap))
     monkeypatch.setattr(factor, "_ECM_CURVES", 0)
-    assert factorize(n) == Factorization(n, full, 1)
-    assert factorize(n, mid) == Factorization(n, ((3, 1), (13, 1)), quick_leftover(x))
+    partial = Factorization(n, ((3, 1), (13, 1)), quick_leftover(x))
+    assert factorize(n) == factorize(n, mid) == partial
+    assert caps and max(caps) <= factor._QUICK_CAP
 
 
 @functools.cache

@@ -277,6 +277,15 @@ def test_certificate_refuses_unknown_keys():
         GoodnessCertificate.from_json(text[:-1] + ',"comment":"x"}')
 
 
+@pytest.mark.parametrize("key", ["root", "path", "terminal", "terminal_residue"])
+def test_certificate_refuses_missing_keys(key):
+    # a lacking key used to raise KeyError, which `verify` printed as "cannot read certificate: 'path'"
+    data = is_good(31).certificate.to_dict()
+    del data[key]
+    with pytest.raises(ValueError, match=rf"missing certificate keys \['{key}'\]"):
+        GoodnessCertificate.from_dict(data)
+
+
 def test_certificate_integers_must_be_integers():
     # dec(2.7) was "2", so a float certificate wrote the integer one's text
     with pytest.raises(TypeError):
