@@ -1,13 +1,14 @@
 """Integer factorization with explicit effort budgets.
 
 Trial division to a configurable bound (by 3 and the primes = 1 (mod 6) alone for a
-closure step's x^2 + x + 1: no other prime divides it) comes first.  Then each splitter
-of an ordered list runs on every composite part until each part is prime, wider than 512
-bits, or one it fails on; a split piece goes straight back to the same splitter.  The
-list: Brent's variant of the Pollard rho method for min(cap, 2^16) iterations, then, only
-under a rho cap above 2^16, Lenstra's elliptic-curve method (ECM).  Rho walks
-c = 1, 2, 3, ..., ECM the curve seeds sigma = 6, 7, 8, ..., and nothing is stored between
-calls, so `factorize` is pure in (n, budget).
+closure step's x^2 + x + 1: no other prime divides it) comes first.  Then each splitter of
+an ordered list runs on every composite part, smallest first, until each part is prime,
+wider than 512 bits, or one it fails on; a split piece goes straight back to the same
+splitter.  The list: Brent's variant of the Pollard rho method for min(cap, 2^16)
+iterations, then, only under a rho cap above 2^16, Lenstra's elliptic-curve method (ECM).
+Rho walks c = 1, 2, 3, ..., ECM the curve seeds sigma = 6, 7, 8, ..., and nothing is
+stored between calls, so `factorize` is pure in (n, budget).  A closure step draws the
+result before each splitter call (`_stages`) and may stop there.
 
 Factors are (prime, exponent) int pairs in ascending prime order, the shape
 `arith.sigma` takes.  Partial results are first-class: the composite part left
@@ -252,7 +253,8 @@ def _ecm_split(n: int) -> int | None:
 
 
 def _stages(n: int, budget: SearchBudget, blocks=None) -> Iterator[Factorization]:
-    """Yield `factorize(n, budget)` after trial division by `blocks` and each splitter, until no part is left."""
+    """Yield the factorization, after trial division by `blocks`, before each splitter call and
+    last (`factorize(n, budget)`); smallest part first, an order that changes no factor."""
     counts: dict[int, int] = {}
     cap = budget.rho_iteration_cap
     cof = _trial_divide(n, budget.trial_division_bound, counts, blocks)
@@ -260,16 +262,18 @@ def _stages(n: int, budget: SearchBudget, blocks=None) -> Iterator[Factorization
     for split in _SPLITTERS[: 1 + (cap > _QUICK_CAP)]:
         parts, left = left, []
         while parts:
-            m = parts.pop()
+            m = parts.pop(parts.index(min(parts)))
             if arith.is_prime(m):
                 counts[m] = counts.get(m, 0) + 1
-            elif m.bit_length() > _MAX_RHO_BITS or (divisor := split(m, cap)) is None:
+            elif m.bit_length() > _MAX_RHO_BITS:
                 left.append(m)
             else:
-                parts += divisor, m // divisor
-        yield Factorization(n, tuple(sorted(counts.items())), math.prod(left))
-        if not left:
-            break
+                yield Factorization(n, tuple(sorted(counts.items())), math.prod(left + parts) * m)
+                if (divisor := split(m, cap)) is None:
+                    left.append(m)
+                else:
+                    parts += divisor, m // divisor
+    yield Factorization(n, tuple(sorted(counts.items())), math.prod(left))
 
 
 def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
@@ -278,7 +282,7 @@ def factorize(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Factorization:
     Completeness is guaranteed whenever the second-largest prime factor of n is at most the
     trial division bound, and holds in practice well beyond that: the 2^16 rho pass splits off
     primes up to about 2^32, and ECM (under a cap above 2^16) most primes up to about 50 bits.
-    Each composite part goes through the module's splitters, one stage of `_stages` each.  Status values:
+    Each composite part goes through the module's splitters in turn (`_stages`).  Status values:
 
     - "complete":  cofactor 1, all prime powers certified.
     - "exhausted": a composite part is left as the cofactor: rho (and

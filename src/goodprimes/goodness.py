@@ -156,12 +156,13 @@ def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[Closure
     """`expand`, but stop at the first new child s with `stop(s, depth)`
     and return it with the state, which then ends on a partial layer.
 
-    Each x^2 + x + 1 is factored once, stage by stage (`factor._stages`),
-    until a stage settles the step: its factorization is complete or, with
-    `stop`, its cofactor has no prime divisor between the trial-division
-    bound and s, so that every prime below s was found.  A step that no
-    stage settles clears `complete`.  Trial division screens by 3 and the
-    primes = 1 (mod 6) alone, which gives `factorize`'s stages.
+    Each x^2 + x + 1 is factored once (`factor._stages`), drawn before each splitter
+    call and last, until a draw settles the step: it is complete or, with `stop`,
+    its cofactor (every part left: untried, failed or too wide) has no prime divisor
+    between the trial-division bound and s, so every prime below s was found and no
+    later splitter call could change the step.  A step that no draw settles clears
+    `complete`.  Trial division screens by 3 and the primes = 1 (mod 6) alone, which
+    gives `factorize`'s draws.
     """
     complete = state.complete
     parents = dict(state.parents)
@@ -239,7 +240,11 @@ class GoodnessCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "GoodnessCertificate":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:  # json's parser recurses once per nested array or object
+            raise ValueError("certificate JSON is nested too deeply") from None
+        return cls.from_dict(data)
 
 
 def certificate_for(state: ClosureState, member: int) -> GoodnessCertificate:
@@ -372,9 +377,9 @@ def goodness_verdicts(primes, budget: SearchBudget = DEFAULT_BUDGET) -> dict[int
     path from them to a goal; a search also stops at a member m reached
     at depth k with `known[m] + k <= max_depth`, and each good records
     its winning path.  Each prime is first searched with a rho cap of 1
-    (one factoring stage, no ECM), which trial-divides alike and gives rho
-    one Brent round, the budget's own first round: its step images are
-    subsets of the budget's, so only a good from that pass is taken.
+    (no ECM), which trial-divides alike and gives rho one Brent round, the
+    budget's own first round: its step images are subsets of the budget's,
+    so only a good from that pass is taken.
     """
     quick = replace(budget, rho_iteration_cap=1)
     passes = (quick,) if quick == budget else (quick, budget)

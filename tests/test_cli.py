@@ -141,6 +141,18 @@ def test_verify_stdin_refuses_a_path_of_the_wrong_shape(capsys, monkeypatch):
         assert code == EXIT_USAGE and out == "" and "certificate path" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '{"path":' * 100_000, '{"root":"31","path":' + "[" * 100_000],
+    ids=["arrays", "objects", "in-a-certificate"],
+)
+def test_verify_stdin_refuses_deeply_nested_json(text, capsys, monkeypatch):
+    # json's parser gives up on this depth with RecursionError, which was a traceback and exit 1 (INVALID)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "verify", "-")
+    assert code == EXIT_USAGE and out == "" and "nested too deeply" in err
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "cert", "31", "-o", str(tmp_path / "missing" / "cert.json"))
     assert code == EXIT_USAGE

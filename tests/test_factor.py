@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -275,16 +276,29 @@ def single_pass(n, budget):
     ],
     ids=repr,
 )
-def test_stages_match_the_single_pass_they_replaced(budget):
-    # a closure step settles on the first stage or resumes it, so the first
-    # stage must be what a 2^16 cap buys and the last what the budget buys
-    quick = dataclasses.replace(budget, rho_iteration_cap=min(budget.rho_iteration_cap, factor._QUICK_CAP))
+def test_stages_match_the_single_pass_they_replaced(budget, monkeypatch):
+    # a closure step may stop at any draw: each is a sound partial result, one
+    # splitter call ahead of the last, and the last is what the budget buys
+    calls = []
+    rho_split, ecm_split = factor._rho_split, factor._ecm_split
+    monkeypatch.setattr(factor, "_rho_split", lambda m, cap: calls.append(m) or rho_split(m, cap))
+    monkeypatch.setattr(factor, "_ecm_split", lambda m: calls.append(m) or ecm_split(m))
     for x in [p for p in primes_up_to(3000) if p > 7] + [1217689472431]:
         n = x * x + x + 1
-        stages = list(factor._stages(n, budget))
-        assert stages[0] == single_pass(n, quick), x
-        assert stages[-1] == single_pass(n, budget), x
-        assert len(stages) == 1 + (budget != quick and not stages[0].complete), x
+        expected = single_pass(n, budget)
+        calls.clear()
+        stages, between = [], []
+        for result in factor._stages(n, budget):
+            between.append(len(calls))
+            calls.clear()
+            stages.append(result)
+        assert stages[-1] == expected, x
+        assert between + [len(calls)] == [0] + [1] * (len(stages) - 1) + [0], x
+        for result in stages:
+            assert n == math.prod(p**e for p, e in result.factors) * result.cofactor, x
+        for before, after in zip(stages, stages[1:]):
+            assert collections.Counter(dict(before.factors)) <= collections.Counter(dict(after.factors)), x
+            assert before.cofactor % after.cofactor == 0, x
 
 
 def test_without_curves_factorize_is_rho_alone(monkeypatch):

@@ -572,7 +572,36 @@ def test_stop_aware_step_skips_the_failed_rho(monkeypatch, root):
     result = is_good(root)
     assert result.certificate.to_json() == PINNED[root]
     assert result.state.complete is True
-    assert caps and max(caps) <= factor._QUICK_CAP
+    if root == 2477:
+        assert caps == []  # each step settles on trial division, or on it and the range test
+    else:
+        assert caps and max(caps) <= factor._QUICK_CAP
+
+
+def test_the_goal_step_settles_before_rho_meets_the_part_left(monkeypatch):
+    # rho splits the goal child 51347167 off the last step's value; the range test on the
+    # 248-bit part left then settles the step, so no splitter runs on that part at all
+    root, goal = 1328304987677, 51347167
+    events = []
+    rho_split, ecm_split, no_factor_between = factor._rho_split, factor._ecm_split, goodness._no_factor_between
+
+    def spy(name, run, *args):
+        events.append((name, args[0], result := run(*args)))
+        return result
+
+    monkeypatch.setattr(factor, "_rho_split", lambda m, cap: spy("rho", rho_split, m, cap))
+    monkeypatch.setattr(factor, "_ecm_split", lambda m: spy("ecm", ecm_split, m))
+    monkeypatch.setattr(
+        goodness, "_no_factor_between", lambda n, lo, hi: spy(("range", hi), no_factor_between, n, lo, hi)
+    )
+    result = is_good(root)
+    assert result.certificate.to_json() == PINNED[root]
+    assert result.state.complete is True
+    assert [name for name, *_ in events] == ["rho", "rho", ("range", goal)]  # no splitter after it, no ECM
+    assert None not in [divisor for name, _, divisor in events if name == "rho"]
+    (_, part, settled) = events[-1]
+    last_value = result.certificate.path[-1][1]
+    assert settled and part.bit_length() == 248 and last_value % (goal * part) == 0
 
 
 def test_verify_labels_a_certificate_on_a_probable_prime(monkeypatch, capsys):
