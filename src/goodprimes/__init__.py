@@ -29,11 +29,9 @@ from .goodness import (
     GoodnessCertificate,
     GoodnessResult,
     SweepReport,
-    cyclotomic_children,
     expand,
     goodness_sweep,
     initial_state,
-    is_goal_prime,
     is_good,
     verify_certificate,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "SweepReport",
     "alpha_exact_valuation",
     "beta_feasible",
-    "cyclotomic_children",
     "cyclotomic_divides_sigma",
     "expand",
     "factorize",
@@ -80,7 +77,6 @@ __all__ = [
     "forced_prime_count",
     "goodness_sweep",
     "initial_state",
-    "is_goal_prime",
     "is_good",
     "is_prime",
     "log_enclosure",

@@ -8,7 +8,7 @@ splitter.  The list: Brent's variant of the Pollard rho method for min(cap, 2^16
 iterations, then, only under a rho cap above 2^16, Lenstra's elliptic-curve method (ECM).
 Rho walks c = 1, 2, 3, ..., ECM the curve seeds sigma = 6, 7, 8, ..., and nothing is
 stored between calls, so `factorize` is pure in (n, budget).  A closure step draws the
-result before each splitter call (`_stages`) and may stop there.
+result before each splitter call (`_stages`) and may stop there (`_no_factor_between`).
 
 Factors are (prime, exponent) int pairs in ascending prime order, the shape
 `arith.sigma` takes.  Partial results are first-class: the composite part left
@@ -31,6 +31,7 @@ STATUS_EXHAUSTED = "exhausted"
 
 _RHO_BATCH = 128
 _BLOCK_PRIMES = 128  # primes per trial-division gcd; 256 saves little more and is slower on small n
+_SEGMENT = 2**17  # k per sieved segment in `_no_factor_between`
 _MAX_RHO_BITS = 512  # wider composites are left unsplit ("exhausted"), never handed to a splitter
 _QUICK_CAP = 2**16  # the first splitter's rho cap (Brent runs 2^17 - 2 on a part that does not split)
 _ECM_CURVES = 100  # ECM runs only under a rho cap above _QUICK_CAP
@@ -106,17 +107,17 @@ def _prime_blocks(bound: int, step: bool = False) -> tuple[tuple[int, tuple[int,
     return tuple((math.prod(chunk), chunk) for chunk in chunks)
 
 
-def _trial_divide(n: int, bound: int, counts: dict[int, int], blocks=None) -> int:
+def _trial_divide(n: int, bound: int, counts: dict[int, int], step: bool = False) -> int:
     """Divide n by each prime p <= bound while p * p <= what is left; returns the cofactor.
 
     The cofactor is 1, a prime (possibly <= bound: 2 * 999983 leaves 999983),
     or a composite with no prime factor <= bound.  A cofactor in
     (bound, _MR_DETERMINISTIC_BOUND) that `primality` proves prime ends the
     search early: no prime <= bound divides it, so the result is the same.
-    `blocks(bound)` is the table (default `_prime_blocks`); a step's omits no prime of x^2 + x + 1.
+    A closure `step`'s x^2 + x + 1 is screened by `_prime_blocks`' step table alone.
     """
     cof, tested = n, 0
-    for prod, chunk in (blocks or _prime_blocks)(bound):
+    for prod, chunk in _prime_blocks(bound, step):  # always (b, step): the cache keys f(b), f(b, False) apart
         if cof == 1 or chunk[0] * chunk[0] > cof:
             break
         if bound < cof != tested:  # the first block, or the last one stripped a factor
@@ -134,6 +135,31 @@ def _trial_divide(n: int, bound: int, counts: dict[int, int], blocks=None) -> in
     # only a cofactor that outlasts every block can be composite ("unfactored");
     # the caller's is_prime tells it from a prime one
     return cof
+
+
+def _no_factor_between(n: int, lo: int, hi: int) -> bool:
+    """True if no prime k = 1 (mod 6) in (lo, hi) divides n.  For n | x^2 + x + 1
+    prime to 3, each prime factor is 1 (mod 6) (x has order 3 mod it), so
+    none lies in (lo, hi).  False is "not proved", as for hi > SIEVE_BOUND_LIMIT.
+    Each segment of the k is sieved by the primes 5 <= p <= min(1000, isqrt(hi))
+    from p^2 up, so the primes stay in, and only what is left is tested."""
+    if hi > arith.SIEVE_BOUND_LIMIT:
+        return False
+    small = [(p, pow(6, -1, p)) for p in arith.primes_up_to(min(1000, math.isqrt(hi)))[2:]]
+    for start in range(lo + 1 + -lo % 6, hi, 6 * _SEGMENT):
+        keep = np.ones(min(_SEGMENT, (hi - start + 5) // 6), dtype=bool)  # k = start + 6i
+        for p, inv in small:
+            first = max(0, -((start - p * p) // 6))  # the first i with k >= p^2
+            keep[first + (-start * inv - first) % p :: p] = False
+        k = np.flatnonzero(keep).astype(np.uint64) * 6 + start
+        r = np.zeros_like(k)
+        for shift in range(n.bit_length() // 32 * 32, -1, -32):  # Horner in base 2^32, r < k < 2^27
+            r <<= 32
+            r |= (n >> shift) & 0xFFFFFFFF
+            r %= k
+        if not r.all():
+            return False
+    return True
 
 
 def _brent(n: int, c: int, max_iters: int) -> tuple[int | None, int]:
@@ -252,12 +278,12 @@ def _ecm_split(n: int) -> int | None:
     return None
 
 
-def _stages(n: int, budget: SearchBudget, blocks=None) -> Iterator[Factorization]:
-    """Yield the factorization, after trial division by `blocks`, before each splitter call and
-    last (`factorize(n, budget)`); smallest part first, an order that changes no factor."""
+def _stages(n: int, budget: SearchBudget, step: bool = False) -> Iterator[Factorization]:
+    """Yield the factorization, after trial division (by the step table for a closure `step`), before
+    each splitter call and last (`factorize(n, budget)`); smallest part first, an order that changes no factor."""
     counts: dict[int, int] = {}
     cap = budget.rho_iteration_cap
-    cof = _trial_divide(n, budget.trial_division_bound, counts, blocks)
+    cof = _trial_divide(n, budget.trial_division_bound, counts, step)
     left = [cof] if cof > 1 else []
     for split in _SPLITTERS[: 1 + (cap > _QUICK_CAP)]:
         parts, left = left, []

@@ -32,12 +32,9 @@ defined for primes > 7 only).
 """
 
 import json
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, NamedTuple
-
-import numpy as np
 
 from . import arith, factor
 from .factor import DEFAULT_BUDGET, SearchBudget
@@ -51,24 +48,7 @@ NOT_GOOD = "not_good"
 INCONCLUSIVE = "inconclusive"
 
 _FORBIDDEN_MEMBERS = frozenset({2, 3, 5})
-_SEGMENT = 2**17  # k per sieved segment in `_no_factor_between`
-_stages = partial(factor._stages, blocks=partial(factor._prime_blocks, step=True))  # see `_step`
-
-
-def is_goal_prime(p: int) -> bool:
-    """True iff p is a prime congruent to 2 or 4 modulo 7."""
-    if not arith.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return p % GOAL_MODULUS in GOAL_RESIDUES
-
-
-def cyclotomic_children(x: int, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[frozenset[int], bool]:
-    """Certified prime divisors of x^2 + x + 1 other than 3, for prime x > 7,
-    and whether they are all: the frontier and completeness of one `expand`
-    of {x}.  The set is nonempty whenever complete (x^2 + x + 1 is never a
-    power of 3); an incomplete factorization may yield an empty set."""
-    state = expand(initial_state(x), budget)
-    return frozenset(state.frontier), state.complete
+_stages = partial(factor._stages, step=True)  # see `_step`
 
 
 @dataclass(frozen=True)
@@ -127,31 +107,6 @@ def expand(state: ClosureState, budget: SearchBudget = DEFAULT_BUDGET) -> Closur
     return _step(state, budget)[0]
 
 
-def _no_factor_between(n: int, lo: int, hi: int) -> bool:
-    """True if no prime k = 1 (mod 6) in (lo, hi) divides n.  For n | x^2 + x + 1
-    prime to 3, each prime factor is 1 (mod 6) (x has order 3 mod it), so
-    none lies in (lo, hi).  False is "not proved", as for hi > SIEVE_BOUND_LIMIT.
-    Each segment of the k is sieved by the primes 5 <= p <= min(1000, isqrt(hi))
-    from p^2 up, so the primes stay in, and only what is left is tested."""
-    if hi > arith.SIEVE_BOUND_LIMIT:
-        return False
-    small = [(p, pow(6, -1, p)) for p in arith.primes_up_to(min(1000, math.isqrt(hi)))[2:]]
-    for start in range(lo + 1 + -lo % 6, hi, 6 * _SEGMENT):
-        keep = np.ones(min(_SEGMENT, (hi - start + 5) // 6), dtype=bool)  # k = start + 6i
-        for p, inv in small:
-            first = max(0, -((start - p * p) // 6))  # the first i with k >= p^2
-            keep[first + (-start * inv - first) % p :: p] = False
-        k = np.flatnonzero(keep).astype(np.uint64) * 6 + start
-        r = np.zeros_like(k)
-        for shift in range(n.bit_length() // 32 * 32, -1, -32):  # Horner in base 2^32, r < k < 2^27
-            r <<= 32
-            r |= (n >> shift) & 0xFFFFFFFF
-            r %= k
-        if not r.all():
-            return False
-    return True
-
-
 def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[ClosureState, int | None]:
     """`expand`, but stop at the first new child s with `stop(s, depth)`
     and return it with the state, which then ends on a partial layer.
@@ -174,7 +129,7 @@ def _step(state: ClosureState, budget: SearchBudget, stop=None) -> tuple[Closure
         for result in _stages(arith.cyclotomic_value(x), budget):
             children = sorted(result.prime_divisors - parents.keys() - {3})
             hit = next((c for c in children if stop(c, depth)), None) if stop else None
-            if result.complete or (hit and _no_factor_between(result.cofactor, budget.trial_division_bound, hit)):
+            if result.complete or hit and factor._no_factor_between(result.cofactor, budget.trial_division_bound, hit):
                 break
         else:
             complete = False

@@ -360,7 +360,7 @@ def test_trial_division_matches_the_loop_it_replaced(bound, rng):
 def test_trial_division_stops_at_a_proven_prime(monkeypatch):
     screened, asked = [], []
     blocks, primality = factor._prime_blocks, arith._primality
-    monkeypatch.setattr(factor, "_prime_blocks", lambda bound: (screened.append(b) or b for b in blocks(bound)))
+    monkeypatch.setattr(factor, "_prime_blocks", lambda bound, step: (screened.append(b) or b for b in blocks(bound, step)))
     monkeypatch.setattr(arith, "_primality", lambda n: asked.append(n) or primality(n))
     bound = DEFAULT_BUDGET.trial_division_bound
     proven = sympy.nextprime(2**59)  # 60 bits: the prime of 7 * proven is settled after the first block
@@ -399,7 +399,7 @@ def step_inputs(rng):
 def test_step_table_gives_the_same_stages(budget, rng):
     # only primes that cannot divide x^2 + x + 1 are left out, so the cofactor
     # handed to rho and ECM, and with it each stage, is the every-prime one; the
-    # default budget follows it through ECM and the full rho run, and a rho cap
+    # default budget follows it through the 2^16 rho pass and ECM, and a rho cap
     # of 1 keeps the small bounds (below 3, below 7) about trial division
     bound = budget.trial_division_bound
     for n in step_inputs(rng):
@@ -407,7 +407,7 @@ def test_step_table_gives_the_same_stages(budget, rng):
         for ours, every in stages:
             assert ours == every, n
         counts, expected = {}, {}
-        cofactor = factor._trial_divide(n, bound, counts, step_blocks)
+        cofactor = factor._trial_divide(n, bound, counts, step=True)
         assert cofactor == trial_divide_to_the_end(n, bound, expected) and counts == expected, n
 
 
@@ -425,17 +425,14 @@ def test_step_table_holds_3_and_the_primes_1_mod_6(bound):
 
 def test_closure_steps_never_screen_2_or_primes_5_mod_6(monkeypatch):
     screened = {}
-    trial_divide = factor._trial_divide
+    prime_blocks = factor._prime_blocks
 
-    def spy(n, bound, counts, blocks=None):
-        def recording(b):
-            for prod, chunk in (blocks or factor._prime_blocks)(b):
-                screened.setdefault("step" if blocks else "every", set()).update(chunk)
-                yield prod, chunk
+    def spy(bound, step):
+        for prod, chunk in prime_blocks(bound, step):
+            screened.setdefault("step" if step else "every", set()).update(chunk)
+            yield prod, chunk
 
-        return trial_divide(n, bound, counts, recording)
-
-    monkeypatch.setattr(factor, "_trial_divide", spy)
+    monkeypatch.setattr(factor, "_prime_blocks", spy)
     for p in (13, 31, 1217689472431):
         goodness.is_good(p)
     steps = screened.pop("step")

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import io
 import json
 import math
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,17 +15,17 @@ import sympy
 from goodprimes import arith, cli, factor, goodness
 from goodprimes.factor import Factorization, SearchBudget
 from goodprimes.goodness import (
+    GOAL_MODULUS,
+    GOAL_RESIDUES,
     GOOD,
     INCONCLUSIVE,
     NOT_GOOD,
     GoodnessCertificate,
     certificate_for,
-    cyclotomic_children,
     expand,
     goodness_sweep,
     goodness_verdicts,
     initial_state,
-    is_goal_prime,
     is_good,
     verify_certificate,
 )
@@ -51,40 +54,41 @@ def grow(p, depth, budget=SearchBudget()):
 
 
 def test_goal_predicate():
-    assert is_goal_prime(331)  # 331 = 2 mod 7
-    assert is_goal_prime(79)
-    assert is_goal_prime(11)  # 11 = 4 mod 7
-    assert not is_goal_prime(13)  # 6 mod 7
-    assert not is_goal_prime(7)  # 0 mod 7
-    with pytest.raises(ValueError):
-        is_goal_prime(12)
+    # a goal prime is 2 or 4 mod 7, and a goal root is its own certificate
+    for p in (331, 79, 11):  # 331 = 2 mod 7, 11 = 4 mod 7
+        assert p % GOAL_MODULUS in GOAL_RESIDUES and is_good(p).depth == 0, p
+    for p in (13, 7):  # 6 and 0 mod 7
+        assert p % GOAL_MODULUS not in GOAL_RESIDUES, p
+    assert is_good(13).depth > 0
 
 
 def test_step_map_examples():
-    assert cyclotomic_children(13) == (frozenset({61}), True)
-    assert cyclotomic_children(31) == (frozenset({331}), True)
-    assert cyclotomic_children(61) == (frozenset({13, 97}), True)
+    # the first layer of {x}: the prime divisors of x^2 + x + 1 other than 3, ascending
+    for x, children in ((13, (61,)), (31, (331,)), (61, (13, 97))):
+        state = expand(initial_state(x))
+        assert (state.frontier, state.complete) == (children, True), x
 
 
 def test_step_map_matches_sympy():
     for x in sympy.primerange(11, 500):
-        expected = frozenset(sympy.primefactors(x * x + x + 1)) - {3}
-        assert cyclotomic_children(x) == (expected, True), x
+        expected = tuple(sorted(set(sympy.primefactors(x * x + x + 1)) - {3}))
+        state = expand(initial_state(x))
+        assert (state.frontier, state.complete) == (expected, True), x
 
 
 def test_step_map_rejects_bad_input():
-    for bad in (7, 5, 9, 15):
+    for bad in (7, 5, 9, 12, 15):
         with pytest.raises(ValueError):
-            cyclotomic_children(bad)
+            expand(initial_state(bad))
 
 
 def test_step_map_partial_budget_may_be_empty():
     # with no useful budget the factorization cannot finish: of 61^2 + 61 + 1
     # = 3 * 13 * 97, one Brent round splits off the 3 (gcd(21, m)), not 13 * 97
     starved = SearchBudget(trial_division_bound=2, rho_iteration_cap=1)
-    children, complete = cyclotomic_children(61, starved)
-    assert not complete
-    assert children == frozenset()
+    state = expand(initial_state(61), starved)
+    assert not state.complete
+    assert state.frontier == ()
 
 
 def test_chain_13_exact_to_depth_5():
@@ -193,7 +197,7 @@ def test_canonical_paths_match_reference_search():
         state = grow(p, result.depth)[-1]
         paths = shortest_paths(p, state.depth)
         assert state.members == paths.keys(), p
-        goals = [min(paths[m]) for m in paths if is_goal_prime(m)]
+        goals = [min(paths[m]) for m in paths if m % GOAL_MODULUS in GOAL_RESIDUES]
         cert_path = (p,) + tuple(edge[2] for edge in result.certificate.path)
         assert cert_path == min(goals, key=lambda path: (len(path), path)), p
         for m in state.members:
@@ -431,6 +435,30 @@ def test_certificate_for_intermediate_member():
     assert not verify_certificate(cert)
 
 
+def test_goodness_leaves_the_step_values_shape_to_factor():
+    # only factor knows that every prime of x^2 + x + 1 but 3 is 1 (mod 6): goodness imports
+    # no numpy at any depth, reaches into factor only for `_stages` and the range test, and
+    # asks for the step table by a flag, not by handing factor a table
+    tree = ast.parse(Path(goodness.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert "numpy" not in (name.split(".")[0] for name in names), f"numpy imported at line {node.lineno}"
+    private = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "factor"
+    }
+    assert {name for name in private if name.startswith("_")} == {"_stages", "_no_factor_between"}
+    for function in (factor._stages, factor._trial_divide):
+        assert "blocks" not in inspect.signature(function).parameters, function.__name__
+    assert goodness._stages.keywords == {"step": True}
+
+
 # 2^61 - 1 is prime, so it adds no divisor below the sieve limit
 BIG = 2**61 - 1
 
@@ -445,32 +473,32 @@ def test_range_check_finds_planted_primes():
     below_s = sympy.prevprime(s)
     while below_s % 6 != 1:
         below_s = sympy.prevprime(below_s)
-    assert goodness._no_factor_between(BIG, lo, s)
-    assert not goodness._no_factor_between(above_lo * BIG, lo, s)
-    assert not goodness._no_factor_between(above_lo * BIG, above_lo - 1, s)
-    assert not goodness._no_factor_between(below_s * BIG, lo, s)
-    assert not goodness._no_factor_between(below_s * BIG, lo, below_s + 1)
+    assert factor._no_factor_between(BIG, lo, s)
+    assert not factor._no_factor_between(above_lo * BIG, lo, s)
+    assert not factor._no_factor_between(above_lo * BIG, above_lo - 1, s)
+    assert not factor._no_factor_between(below_s * BIG, lo, s)
+    assert not factor._no_factor_between(below_s * BIG, lo, below_s + 1)
     # the sieve keeps its own primes, up to 997, in the range
     for q, lo in ((7, 1), (13, 10), (31, 10), (997, 1)):
-        assert not goodness._no_factor_between(q * BIG, lo, s)
-        assert goodness._no_factor_between(q * BIG, q, s)
+        assert not factor._no_factor_between(q * BIG, lo, s)
+        assert factor._no_factor_between(q * BIG, q, s)
 
 
 def test_range_check_segment_boundaries():
     # the k = 1 (mod 6) with lo < k < hi are sieved in segments of _SEGMENT;
     # place q first in the second segment, then last in the first
-    span = 6 * goodness._SEGMENT
+    span = 6 * factor._SEGMENT
     q = first_prime_1_mod_6(10**6 + span)
     for lo in (q - span - 1, q - span + 5):
-        assert not goodness._no_factor_between(q * BIG, lo, q + span)
-        assert goodness._no_factor_between(q * BIG, lo, q)
+        assert not factor._no_factor_between(q * BIG, lo, q + span)
+        assert factor._no_factor_between(q * BIG, lo, q)
 
 
 def test_range_check_matches_sympy():
     # True exactly when no prime k = 1 (mod 6) with lo < k < hi divides n;
     # a prime square p^2 = 1 (mod 6) with p <= 1000 must be sieved out
     rng = random.Random(6)
-    span = 6 * goodness._SEGMENT
+    span = 6 * factor._SEGMENT
     for _ in range(8):
         lo = rng.choice([1, 10, 999, rng.randrange(1, span)])
         hi = lo + rng.randrange(span, 3 * span)
@@ -479,14 +507,14 @@ def test_range_check_matches_sympy():
         for m in planted + [sympy.prime(rng.randrange(3, 169)) ** 2, 1]:
             n = m * BIG
             expected = not any(lo < d < hi and d % 6 == 1 for d in sympy.primefactors(n))
-            assert goodness._no_factor_between(n, lo, hi) == expected, (n, lo, hi)
+            assert factor._no_factor_between(n, lo, hi) == expected, (n, lo, hi)
 
 
 def test_range_check_peak_memory():
     # one segment of 2^17 flags and the uint64 arrays of its survivors, about a quarter
     tracemalloc.start()
     try:
-        assert goodness._no_factor_between(BIG, 10**6, 5 * 10**7)
+        assert factor._no_factor_between(BIG, 10**6, 5 * 10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -495,24 +523,24 @@ def test_range_check_peak_memory():
 
 def test_range_check_ignores_primes_from_s_up():
     lo, s = 1000, first_prime_1_mod_6(10**5)
-    assert goodness._no_factor_between(s * BIG, lo, s)
-    assert goodness._no_factor_between(first_prime_1_mod_6(s) * s * BIG, lo, s)
+    assert factor._no_factor_between(s * BIG, lo, s)
+    assert factor._no_factor_between(first_prime_1_mod_6(s) * s * BIG, lo, s)
 
 
 def test_range_check_trivial_and_refused(monkeypatch):
     # nothing lies strictly between lo and s <= lo + 1
     for s in (50, 100, 101):
-        assert goodness._no_factor_between(103 * 109, 100, s)
+        assert factor._no_factor_between(103 * 109, 100, s)
     # above the sieve limit the check answers "not proved" and allocates nothing
-    monkeypatch.setattr(goodness, "np", None)
-    assert not goodness._no_factor_between(BIG, 10**6, goodness.arith.SIEVE_BOUND_LIMIT + 1)
+    monkeypatch.setattr(factor, "np", None)
+    assert not factor._no_factor_between(BIG, 10**6, arith.SIEVE_BOUND_LIMIT + 1)
 
 
 def canonical_certificate(p, budget):
     """The first goal prime of the first full `expand` layer that has one."""
     state = initial_state(p)
     while True:
-        goals = [m for m in state.frontier if is_goal_prime(m)]
+        goals = [m for m in state.frontier if m % GOAL_MODULUS in GOAL_RESIDUES]
         if goals or state.depth == budget.max_depth:
             return certificate_for(state, goals[0]) if goals else None
         state = expand(state, budget)
@@ -527,7 +555,7 @@ def test_stop_aware_step_keeps_canonical_certificates(monkeypatch):
         SearchBudget(trial_division_bound=10, rho_iteration_cap=10),
     ]
     decided = []
-    check = goodness._no_factor_between
+    check = factor._no_factor_between
 
     def spy(n, lo, hi):
         proved = check(n, lo, hi)
@@ -535,7 +563,7 @@ def test_stop_aware_step_keeps_canonical_certificates(monkeypatch):
             decided.append(hi > lo + 1)
         return proved
 
-    monkeypatch.setattr(goodness, "_no_factor_between", spy)
+    monkeypatch.setattr(factor, "_no_factor_between", spy)
     for budget in budgets:
         for p in sympy.primerange(8, 400):
             assert is_good(p, budget).certificate == canonical_certificate(p, budget), (budget, p)
@@ -583,7 +611,7 @@ def test_the_goal_step_settles_before_rho_meets_the_part_left(monkeypatch):
     # 248-bit part left then settles the step, so no splitter runs on that part at all
     root, goal = 1328304987677, 51347167
     events = []
-    rho_split, ecm_split, no_factor_between = factor._rho_split, factor._ecm_split, goodness._no_factor_between
+    rho_split, ecm_split, no_factor_between = factor._rho_split, factor._ecm_split, factor._no_factor_between
 
     def spy(name, run, *args):
         events.append((name, args[0], result := run(*args)))
@@ -592,7 +620,7 @@ def test_the_goal_step_settles_before_rho_meets_the_part_left(monkeypatch):
     monkeypatch.setattr(factor, "_rho_split", lambda m, cap: spy("rho", rho_split, m, cap))
     monkeypatch.setattr(factor, "_ecm_split", lambda m: spy("ecm", ecm_split, m))
     monkeypatch.setattr(
-        goodness, "_no_factor_between", lambda n, lo, hi: spy(("range", hi), no_factor_between, n, lo, hi)
+        factor, "_no_factor_between", lambda n, lo, hi: spy(("range", hi), no_factor_between, n, lo, hi)
     )
     result = is_good(root)
     assert result.certificate.to_json() == PINNED[root]
@@ -623,10 +651,11 @@ def test_quick_pass_primes_are_a_subset_of_the_full_budgets(monkeypatch):
     split = factor._ecm_split
     monkeypatch.setattr(factor, "_ecm_split", lambda m: calls.append(m) or split(m))
     x = 1217689472431
-    quick, quick_done = cyclotomic_children(x, SearchBudget(rho_iteration_cap=factor._QUICK_CAP))
-    assert (quick, quick_done, calls) == ({13}, False, [])
-    full, full_done = cyclotomic_children(x)
-    assert full_done and len(calls) == 1 and quick < full == {13, 40375821481, 941644825327}
+    quick = expand(initial_state(x), SearchBudget(rho_iteration_cap=factor._QUICK_CAP))
+    assert (quick.frontier, quick.complete, calls) == ((13,), False, [])
+    full = expand(initial_state(x))
+    assert full.complete and len(calls) == 1 and set(quick.frontier) < set(full.frontier)
+    assert full.frontier == (13, 40375821481, 941644825327)
     assert is_good(x).certificate.to_json() == (
         '{"path":[["1217689472431","1482767651270504798522193","40375821481"]],'
         '"root":"1217689472431","terminal":"40375821481","terminal_residue":"2"}'
