@@ -27,7 +27,7 @@ strings and no timings, so identical scans produce byte-identical output.
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -133,14 +133,14 @@ def _sigma_progression(out: np.ndarray, bound: int, start: int, step: int) -> No
             out[first] -= d  # the square d*d has the divisor d once
 
 
-def _check_sample(sigmas: np.ndarray, bound: int, start: int, step: int) -> None:
-    """Cross-check a seeded sample of sigmas[i] = sigma(start + i*step)
-    against the multiplicative sigma on complete factorizations."""
+def _check_sample(sigma_at, bound: int, members: range) -> None:
+    """Cross-check sigma_at(n) for a seeded sample of n in members against
+    the multiplicative sigma on complete factorizations."""
     rng = random.Random(0xD1715 ^ bound)
-    for _ in range(min(1000, len(sigmas))):
-        n = start + step * rng.randrange(len(sigmas))
+    for _ in range(min(1000, len(members))):
+        n = members[rng.randrange(len(members))]
         expected = 1 if n == 1 else arith.sigma(n, factorize(n).factors)
-        if int(sigmas[(n - start) // step]) != expected:
+        if sigma_at(n) != expected:
             raise AssertionError(f"sieve disagrees with multiplicative sigma at n={n}")
 
 
@@ -149,9 +149,9 @@ def sieve_sigma(bound: int) -> np.ndarray:
 
     The divisor-pair sieve runs over odd n only, and each even n = 2^a * m,
     m odd, gets (2^(a+1) - 1) * sigma(m).  Bounds above 1e8 are refused, so
-    int32 is exact (Robin 1984: sigma(n) < 5.5e8 < 2^31 there); the array
-    takes 4 bytes per entry and each temporary at most _BLOCK entries.
-    A seeded sample is cross-checked against the multiplicative sigma.
+    int32 is exact (Robin 1984: sigma(n) < 5.5e8 < 2^31 there): 4 bytes per
+    entry (`scan_odd_perfect` keeps the odd half alone, 2) and each temporary
+    at most _BLOCK entries.  A seeded sample is checked by multiplicative sigma.
     """
     _check_bound(bound, SIEVE_BOUND_LIMIT, "sieve")
     sig = np.zeros(bound + 1, dtype=np.int32)
@@ -159,16 +159,20 @@ def sieve_sigma(bound: int) -> np.ndarray:
     for a in range(1, bound.bit_length()):
         even = sig[1 << a :: 2 << a]  # n = 2^a * m for odd m = 1, 3, 5, ...
         np.multiply(sig[1 : 2 * len(even) : 2], (2 << a) - 1, out=even)
-    _check_sample(sig[1:], bound, 1, 1)
+    _check_sample(lambda n: int(sig[n]), bound, range(1, bound + 1))
     return sig
+
+
+def _stride_hits(sigmas: np.ndarray, bound: int, start: int, step: int) -> list[int]:
+    """The n = start + i*step <= bound with sigmas[i] == 2n, compared one block at a time."""
+    twice = range(2 * start, 2 * bound + 1, 2 * step)
+    return [start + step * (i + int(j)) for i, block, ramp in _blocks(sigmas, twice) for j in np.flatnonzero(block == ramp)]
 
 
 def _scan_stride(form: str, bound: int, start: int, step: int, sigmas: np.ndarray, checked: int) -> ScanReport:
     """Test sigma(n) == 2n for n = start + i*step <= bound, sigmas[i] = sigma(n);
     odd hits are audited counterexamples, even ones perfect numbers found."""
-    twice = range(2 * start, 2 * bound + 1, 2 * step)  # 2n, compared one block at a time
-    hits = [i + int(j) for i, block, ramp in _blocks(sigmas, twice) for j in np.flatnonzero(block == ramp)]
-    found = [start + step * i for i in hits]
+    found = _stride_hits(sigmas, bound, start, step)
     return ScanReport(
         form=form,
         bound=bound,
@@ -179,8 +183,19 @@ def _scan_stride(form: str, bound: int, start: int, step: int, sigmas: np.ndarra
 
 
 def scan_odd_perfect(bound: int) -> ScanReport:
-    """Confirm no odd n <= bound is perfect; list the even perfect numbers."""
-    return _scan_stride(FORM_ODD, bound, 1, 1, sieve_sigma(bound)[1:], (bound + 1) // 2)
+    """Confirm no odd n <= bound is perfect; list the even perfect numbers.
+
+    Only the odd n are sieved, 2 bytes per n.  An even n = q*m, q = 2^a, m odd,
+    has sigma(n) = p*sigma(m), p = 2q - 1 prime to 2q, so it is perfect iff
+    m = p*k and sigma(m) = 2q*k; `sieve_sigma`'s sample is checked the same way.
+    """
+    _check_bound(bound, SIEVE_BOUND_LIMIT, "sieve")
+    odd = np.zeros((bound + 1) // 2, dtype=np.int32)  # odd[i] = sigma(2i + 1)
+    _sigma_progression(odd, bound, 1, 2)
+    _check_sample(lambda n: (2 * (n & -n) - 1) * int(odd[n // (n & -n) // 2]), bound, range(1, bound + 1))
+    powers = [(1 << a, (2 << a) - 1) for a in range(1, bound.bit_length())]  # q, p; odd[q - 1 :: p] = sigma(p*k), k odd
+    even = [p * v for q, p in powers for v in _stride_hits(odd[q - 1 :: p], bound // (q * p) * q, q, 2 * q)]
+    return replace(_scan_stride(FORM_ODD, bound, 1, 2, odd, len(odd)), perfect_found=tuple(sorted(even)))
 
 
 def scan_105(bound: int) -> ScanReport:
@@ -188,7 +203,7 @@ def scan_105(bound: int) -> ScanReport:
     _check_bound(bound, SIEVE_BOUND_LIMIT, "sieve")
     sigmas = np.zeros(len(range(105, bound + 1, 210)), dtype=np.int32)
     _sigma_progression(sigmas, bound, 105, 210)
-    _check_sample(sigmas, bound, 105, 210)
+    _check_sample(lambda n: int(sigmas[n // 210]), bound, range(105, bound + 1, 210))
     return _scan_stride(FORM_105, bound, 105, 210, sigmas, len(sigmas))
 
 

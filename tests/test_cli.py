@@ -212,6 +212,7 @@ def test_scan_resource_exit(capsys):
         ("--trial-bound", "100000001", "factor", "1000000000039"),
         ("sweep", "100000000000"),
         ("scan", "105", "100000001"),
+        ("scan", "odd", "100000001"),
     ],
 )
 def test_sieve_resource_exit_for_every_command(capsys, argv):

@@ -77,22 +77,35 @@ def test_sigma_progression_every_small_progression():
 
 
 def test_sieve_resource_guard():
-    for run in (sieve_sigma, scan_105):
+    factorize(2)  # build the trial-division blocks outside the measurement
+    for run in (sieve_sigma, scan_odd_perfect, scan_105):
+        tracemalloc.start()
         with pytest.raises(ResourceLimitError):
             run(10**8 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**16, (run.__name__, peak)  # refused before the array is allocated
         with pytest.raises(ValueError):
             run(0)
 
 
 def test_sieve_self_check_runs_on_both_paths(monkeypatch):
     # negative control: a multiplicative sigma that is one too high must
-    # trip the sampled cross-check of both sieves
+    # trip the sampled cross-check of every sieve
     sigma = scan.arith.sigma
     monkeypatch.setattr(scan.arith, "sigma", lambda n, pairs: sigma(n, pairs) + 1)
-    with pytest.raises(AssertionError):
-        sieve_sigma(1000)
-    with pytest.raises(AssertionError):
-        scan_105(10**4)
+    for run, bound in ((sieve_sigma, 1000), (scan_odd_perfect, 1000), (scan_105, 10**4)):
+        with pytest.raises(AssertionError):
+            run(bound)
+
+
+def test_odd_scan_self_check_covers_even_n(monkeypatch):
+    # negative control: the odd scan never stores an even n's sigma, yet
+    # its sample of 1..bound must still check the value derived for it
+    sigma = scan.arith.sigma
+    monkeypatch.setattr(scan.arith, "sigma", lambda n, pairs: sigma(n, pairs) + (n % 2 == 0))
+    with pytest.raises(AssertionError, match="n=[0-9]*[02468]$"):
+        scan_odd_perfect(1000)
 
 
 def test_scan_odd_perfect_small():
@@ -102,6 +115,16 @@ def test_scan_odd_perfect_small():
     assert report.candidates_checked == 5000
     report = scan_odd_perfect(100)
     assert report.perfect_found == (6, 28)
+
+
+def test_odd_scan_matches_the_full_sieve_report():
+    # the odd scan derives sigma(2^a * m) from sigma(m); the full array is the
+    # reference.  2 * _BLOCK * k + d ends the odd compare near a block edge,
+    # and at k = 3 the compare for a = 1 (over m = 3j, bound // 6 entries) too
+    edges = [2 * scan._BLOCK * k + d for k in (1, 2, 3) for d in range(-3, 4)]
+    for bound in [*range(1, 301), 8127, 8128, 8129, *edges]:
+        full = scan._scan_stride(scan.FORM_ODD, bound, 1, 1, sieve_sigma(bound)[1:], (bound + 1) // 2)
+        assert scan_odd_perfect(bound).to_json() == full.to_json(), bound
 
 
 def test_sieve_scans_at_every_small_bound():
@@ -116,18 +139,23 @@ def test_sieve_scans_at_every_small_bound():
 
 
 def test_sieve_scans_peak_memory():
-    # the int32 sigma array, 4 bytes per entry, plus temporaries bounded by
-    # the block: two int32 ramps (the generator makes the next while the
-    # last is held) and a bool mask; the 105 scan holds only its own
-    # progression, about 1/210 of the array
+    # the int32 sigma array, 4 bytes per entry (2 for the odd scan, which
+    # keeps the odd n alone), plus temporaries bounded by the block: two
+    # int32 ramps (the generator makes the next while the last is held) and
+    # a bool mask; the 105 scan holds only its own progression, about 1/210
+    # of the array
     bound = 10**6
     factorize(2)  # build the trial-division blocks outside the measurement
-    for run, entries in ((sieve_sigma, bound + 1), (scan_odd_perfect, bound + 1), (scan_105, bound // 210 + 1)):
+    for run, size, entries in (
+        (sieve_sigma, 4, bound + 1),
+        (scan_odd_perfect, 2, bound + 1),
+        (scan_105, 4, bound // 210 + 1),
+    ):
         tracemalloc.start()
         run(bound)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 4 * entries + 9 * min(scan._BLOCK, entries) + 2**18, (run.__name__, peak)
+        assert peak < size * entries + 9 * min(scan._BLOCK, entries) + 2**18, (run.__name__, peak)
 
 
 def divisor_sieve(bound):
@@ -156,8 +184,10 @@ def test_scan_stride_hits_at_block_edges():
     block = scan._BLOCK
     size = 2 * block + 5  # two whole blocks and a short tail
     planted = [0, block - 1, block, 2 * block - 1, 2 * block + 2, size - 1]
-    for start, step in ((2, 2), (105, 210)):  # perfect numbers found, counterexamples
-        sigmas = np.zeros(size, dtype=np.int32)
+    # perfect numbers found, counterexamples, and the odd scan's compare for
+    # n = 4 * 7k: sigma(7k) at every 7th odd entry against 8k = 2 * (4 + 8i)
+    for start, step, stride in ((2, 2, 1), (105, 210, 1), (4, 8, 7)):
+        sigmas = np.zeros(stride * size, dtype=np.int32)[stride // 2 :: stride]
         for i in planted:
             sigmas[i] = 2 * (start + step * i)
         sigmas[block + 1] = 2 * (start + step * (block + 1)) + 1  # a near miss
