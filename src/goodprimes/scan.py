@@ -15,8 +15,8 @@ list of roots (5^alpha, or 5^alpha * 3^(2b)) times products of distinct
 primes from one ascending pool, each prime raised to one of the
 exponents its root allows (2*beta; or 2, 8, 14, ...).  The enumerator
 tests sigma(n) != 2n with the exact multiplicative sigma (never the
-sieve, candidates may exceed sieve memory), and re-checks each emitted
-candidate against the form predicate.
+sieve, candidates may exceed sieve memory), and checks its pool and
+roots against the form predicate once per scan.
 The cyclotomic scan additionally annotates every candidate with whether
 one of its qi primes is good, and whether one is at most 157.
 
@@ -24,6 +24,7 @@ Reports serialize to canonical JSON with all integers as decimal
 strings and no timings, so identical scans produce byte-identical output.
 """
 
+import itertools
 import json
 import math
 import random
@@ -223,7 +224,7 @@ def matches_squarefree_form(pairs) -> bool:
     common even power, with alpha = 1 (mod 4) and the kernel coprime to 5?"""
     exponents = _exponents(pairs)
     alpha = exponents.pop(5, 0)
-    if alpha % 4 != 1 or not exponents:
+    if alpha < 1 or alpha % 4 != 1 or not exponents:
         return False
     common = set(exponents.values())
     if len(common) != 1:
@@ -242,7 +243,7 @@ def matches_cyclotomic_form(pairs) -> bool:
     b2 = exponents.pop(3, 0)
     if b2 < 2 or b2 % 2 or not exponents:
         return False
-    return all(p > 5 and e % 6 == 2 and arith.is_prime(p) for p, e in exponents.items())
+    return all(p > 5 and e >= 2 and e % 6 == 2 and arith.is_prime(p) for p, e in exponents.items())
 
 
 def _check_bound(bound: int, limit: int, kind: str) -> None:
@@ -258,30 +259,48 @@ def _enumerate_form(bound: int, pool: list[int], matches, roots):
     Each root is (value, sigma(value), factors, exponents): a prime q of
     the ascending pool enters with one exponent of the ascending
     `exponents`.  Returns the perfect candidates by value and the
-    factorization of each candidate, one entry per candidate.
+    factorization of each candidate, one entry per candidate.  The forms
+    are conjunctions of root, per-prime (q prime and no root prime, an
+    allowed exponent) and pairwise conditions (distinct primes; the
+    squarefree form's common exponent), so `matches` runs only on each
+    pool prime with the first root and on each root with each ordered
+    pair of its exponents on the two smallest pool primes.  A strictly
+    ascending pool and one set of root primes keep every candidate in
+    the form: each is only asserted to add a larger prime with an
+    allowed exponent, and a perfect one is checked by `matches`.
     """
+    if any(p >= q for p, q in zip(pool, pool[1:])) or len({tuple(p for p, _ in r[2]) for r in roots}) > 1:
+        raise AssertionError("the form pool must ascend strictly and the roots share their primes")
+    prime_checks = (r[2] + ((q, r[3][0]),) for r in roots[:1] for q in pool)
+    root_checks = (r[2] + tuple(zip(pool, (e, f))) for r in roots if pool for e in r[3] for f in r[3])
+    for factors in itertools.chain(prime_checks, root_checks):
+        if not matches(factors):
+            raise AssertionError(f"enumerator left the form at {math.prod(p**e for p, e in factors)}")
+
     perfect: list[CandidateRecord] = []
     candidates: list[tuple[tuple[int, int], ...]] = []
     for root_value, root_sigma, root_factors, exponents in roots:
-        stack = [(0, root_value, root_sigma, root_factors)]
+        stack = [(0, root_value, root_sigma, root_factors, 0)]
         while stack:
-            start_index, value, sigma_acc, factors = stack.pop()
+            start_index, value, sigma_acc, factors, last = stack.pop()
             for j in range(start_index, len(pool)):
                 q = pool[j]
                 if value * q ** exponents[0] > bound:
                     break
                 for e in exponents:
-                    candidate = value * q**e
+                    power = q**e
+                    candidate = value * power
                     if candidate > bound:
                         break
-                    cand_sigma = sigma_acc * arith.sigma_prime_power(q, e)
+                    cand_sigma = sigma_acc * ((power * q - 1) // (q - 1))
                     cand_factors = factors + ((q, e),)
-                    if not matches(cand_factors):
+                    if q <= last or e not in exponents or cand_sigma == 2 * candidate and not matches(cand_factors):
                         raise AssertionError(f"enumerator left the form at {candidate}")
                     if cand_sigma == 2 * candidate:
                         perfect.append(CandidateRecord(candidate, cand_factors, cand_sigma))
                     candidates.append(cand_factors)
-                    stack.append((j + 1, candidate, cand_sigma, cand_factors))
+                    if j + 1 < len(pool) and candidate * pool[j + 1] ** exponents[0] <= bound:
+                        stack.append((j + 1, candidate, cand_sigma, cand_factors, q))
     return sorted(perfect, key=lambda rec: rec.value), candidates
 
 

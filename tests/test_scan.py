@@ -233,6 +233,7 @@ def test_form_predicates():
     assert not matches_squarefree_form([(5, 1), (2, 2)])  # even kernel
     assert not matches_squarefree_form([(5, 1), (3, 3)])  # odd exponent
     assert not matches_squarefree_form([(5, 1), (7, 2), (11, 2), (11, 2)])  # 5 * 7^2 * 11^4
+    assert not matches_squarefree_form([(5, -3), (3, 2)])  # -3 = 1 mod 4, but alpha < 1
 
     assert matches_cyclotomic_form([(5, 1), (3, 2), (11, 2)])
     assert matches_cyclotomic_form([(5, 3), (3, 4), (7, 8), (13, 2)])
@@ -242,6 +243,7 @@ def test_form_predicates():
     assert not matches_cyclotomic_form([(5, 1), (3, 2), (11, 4)])  # 4 != 2 mod 6
     assert not matches_cyclotomic_form([(5, 1), (3, 3), (11, 2)])  # odd 3-exponent
     assert not matches_cyclotomic_form([(5, 1), (3, 2), (11, 4), (11, 2)])  # 11^6, 6 != 2 mod 6
+    assert not matches_cyclotomic_form([(5, 1), (3, 2), (7, -4)])  # -4 = 2 mod 6, but below 2
 
 
 def spf_factor_pairs(n, spf):
@@ -269,33 +271,35 @@ def brute_form_values(bound, predicate):
     return values
 
 
-def record_candidates(monkeypatch, name, record=lambda pairs: math.prod(p**e for p, e in pairs)):
-    # wrap the scan's form predicate to record every candidate, by default its value
-    values = []
-    predicate = getattr(scan, name)
+def record_candidates(monkeypatch):
+    # wrap the shared form enumerator to keep the factorization of every candidate it returns
+    candidates = []
+    enumerate_form = scan._enumerate_form
 
-    def recording(pairs):
-        values.append(record(pairs))
-        return predicate(pairs)
+    def recording(*args):
+        perfect, found = enumerate_form(*args)
+        candidates.extend(found)
+        return perfect, found
 
-    monkeypatch.setattr(scan, name, recording)
-    return values
+    monkeypatch.setattr(scan, "_enumerate_form", recording)
+    return candidates
 
 
 def test_squarefree_scan_enumerates_faithfully(monkeypatch):
     bound = 10**6
-    values = record_candidates(monkeypatch, "matches_squarefree_form")
+    candidates = record_candidates(monkeypatch)
     report = scan_squarefree_form(bound)
     assert report.clean
+    assert all(matches_squarefree_form(c) for c in candidates)
+    values = [math.prod(p**e for p, e in c) for c in candidates]
     expected = brute_form_values(bound, matches_squarefree_form)
     assert len(values) == len(set(values)) == report.candidates_checked
     assert set(values) == expected
 
 
 def test_squarefree_scan_no_duplicates_and_instance():
-    # re-run the enumeration collecting values through the counterexample
-    # audit path: every candidate re-checked by the in-scan predicate already;
-    # here spot-check the published instance 5 * 3^2 * 7^2
+    # the faithful-enumeration test checks every candidate to 10^6 against
+    # the predicate; here spot-check the published instance 5 * 3^2 * 7^2
     n = 5 * 9 * 49
     pairs = [(3, 2), (5, 1), (7, 2)]
     assert matches_squarefree_form(pairs)
@@ -307,12 +311,65 @@ def test_squarefree_scan_no_duplicates_and_instance():
 
 def test_cyclotomic_scan_enumerates_faithfully(monkeypatch):
     bound = 10**6
-    values = record_candidates(monkeypatch, "matches_cyclotomic_form")
+    candidates = record_candidates(monkeypatch)
     report = scan_cyclotomic_form(bound, annotate_goodness=False)
     assert report.clean
+    assert all(matches_cyclotomic_form(c) for c in candidates)
+    values = [math.prod(p**e for p, e in c) for c in candidates]
     expected = brute_form_values(bound, matches_cyclotomic_form)
     assert len(values) == len(set(values)) == report.candidates_checked
     assert set(values) == expected
+
+
+SQUAREFREE_ROOT = (5, 6, ((5, 1),), (2,))
+CYCLOTOMIC_ROOT = (45, 78, ((3, 2), (5, 1)), range(2, 40, 6))
+
+
+@pytest.mark.parametrize(
+    "pool, matches, roots",
+    [
+        ([3, 7, 9, 11], matches_squarefree_form, [SQUAREFREE_ROOT]),  # composite 9
+        ([3, 7, 7, 11], matches_squarefree_form, [SQUAREFREE_ROOT]),  # repeated prime
+        ([3, 5, 7, 11], matches_squarefree_form, [SQUAREFREE_ROOT]),  # 5 is the root's prime
+        ([7, 11, 13], matches_cyclotomic_form, [CYCLOTOMIC_ROOT, (45, 78, ((3, 2), (5, 1)), (2, 4))]),  # 4 != 2 mod 6
+        ([3, 7, 11], matches_squarefree_form, [SQUAREFREE_ROOT, (5, 6, ((5, 1),), (2, 4))]),  # mixed exponents
+        ([3, 7, 11], matches_squarefree_form, [SQUAREFREE_ROOT, (25, 31, ((5, 2),), (2,))]),  # alpha = 2
+        ([7, 11, 13], matches_cyclotomic_form, [(45, 78, ((3, 2), (5, 1)), (2,)), (5, 6, ((5, 1),), (2,))]),  # no 3 part
+    ],
+)
+def test_enumerator_refuses_inputs_outside_the_form(pool, matches, roots):
+    with pytest.raises(AssertionError, match="form"):
+        scan._enumerate_form(10**9, pool, matches, roots)
+
+
+def test_enumerator_checks_its_inputs_not_each_candidate(monkeypatch):
+    calls, seen = [], {}
+    predicate, enumerate_form = scan.matches_squarefree_form, scan._enumerate_form
+
+    def counting(pairs):
+        calls.append(pairs)
+        return predicate(pairs)
+
+    def recording(bound, pool, matches, roots):
+        seen.update(pool=pool, roots=roots)
+        return enumerate_form(bound, pool, matches, roots)
+
+    monkeypatch.setattr(scan, "matches_squarefree_form", counting)
+    monkeypatch.setattr(scan, "_enumerate_form", recording)
+    report = scan_squarefree_form(10**8)
+    limit = len(seen["pool"]) + sum(len(exponents) ** 2 for *_, exponents in seen["roots"])
+    assert len(calls) <= limit < report.candidates_checked // 2  # 617 calls, 1608 candidates
+
+
+@pytest.mark.parametrize("bound", [44, 45, 2204, 2205])
+def test_form_scans_with_empty_or_one_prime_pools(bound):
+    # 44: no root; 45: squarefree pool [3]; 2204: no cyclotomic root; 2205: cyclotomic pool [7]
+    for report, predicate in (
+        (scan_squarefree_form(bound), matches_squarefree_form),
+        (scan_cyclotomic_form(bound, annotate_goodness=False), matches_cyclotomic_form),
+    ):
+        assert report.clean
+        assert report.candidates_checked == len(brute_form_values(bound, predicate))
 
 
 def _cyclo_count(bound):
@@ -332,11 +389,13 @@ def test_cyclotomic_scan_exponent_filter():
 def test_cyclotomic_scan_annotations(monkeypatch):
     # recompute every note from one is_good call per prime over the qi
     # of each candidate
-    prime_sets = record_candidates(monkeypatch, "matches_cyclotomic_form", lambda pairs: [p for p, _ in pairs if p > 5])
+    candidates = record_candidates(monkeypatch)
     for budget in (SearchBudget(), SearchBudget(trial_division_bound=100, rho_iteration_cap=10)):
-        prime_sets.clear()
+        candidates.clear()
         report = scan_cyclotomic_form(10**7, budget)
         assert report.clean
+        assert all(matches_cyclotomic_form(c) for c in candidates)
+        prime_sets = [[p for p, _ in c if p > 5] for c in candidates]
         assert len(prime_sets) == report.candidates_checked
         distinct = sorted({q for qs in prime_sets for q in qs})
         verdicts = {q: is_good(q, budget).verdict for q in distinct if q > 7}
