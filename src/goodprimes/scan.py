@@ -15,8 +15,7 @@ list of roots (5^alpha, or 5^alpha * 3^(2b)) times products of distinct
 primes from one ascending pool, each prime raised to one of the
 exponents its root allows (2*beta; or 2, 8, 14, ...).  The enumerator
 tests sigma(n) != 2n with the exact multiplicative sigma (never the
-sieve, candidates may exceed sieve memory), and checks its pool and
-roots against the form predicate once per scan.
+sieve, candidates may exceed sieve memory).
 The cyclotomic scan additionally annotates every candidate with whether
 one of its qi primes is good, and whether one is at most 157.
 
@@ -24,9 +23,9 @@ Reports serialize to canonical JSON with all integers as decimal
 strings and no timings, so identical scans produce byte-identical output.
 """
 
-import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field, replace
 
@@ -221,7 +220,8 @@ def _exponents(pairs) -> dict[int, int]:
 
 def matches_squarefree_form(pairs) -> bool:
     """Is this factorization 5^alpha times a squarefree odd kernel to one
-    common even power, with alpha = 1 (mod 4) and the kernel coprime to 5?"""
+    common even power, with alpha = 1 (mod 4) and the kernel coprime to 5?
+    The tests hold every candidate of `scan_squarefree_form` to it."""
     exponents = _exponents(pairs)
     alpha = exponents.pop(5, 0)
     if alpha < 1 or alpha % 4 != 1 or not exponents:
@@ -236,7 +236,8 @@ def matches_squarefree_form(pairs) -> bool:
 
 
 def matches_cyclotomic_form(pairs) -> bool:
-    """Is this factorization 5^alpha * 3^(2b) * prod qi^(6ki+2), qi > 5?"""
+    """Is this factorization 5^alpha * 3^(2b) * prod qi^(6ki+2), qi > 5?
+    The tests hold every candidate of `scan_cyclotomic_form` to it."""
     exponents = _exponents(pairs)
     if exponents.pop(5, 0) < 1:
         return False
@@ -247,42 +248,28 @@ def matches_cyclotomic_form(pairs) -> bool:
 
 
 def _check_bound(bound: int, limit: int, kind: str) -> None:
-    if bound < 1:
+    if operator.index(bound) < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
     if bound > limit:
         raise ResourceLimitError(f"{kind} bound {bound} exceeds limit {limit}")
 
 
-def _enumerate_form(bound: int, pool: list[int], matches, roots):
+def _enumerate_form(bound: int, pool: list[int], roots):
     """Walk every root times a product of distinct pool primes <= bound.
 
-    Each root is (value, sigma(value), factors, exponents): a prime q of
-    the ascending pool enters with one exponent of the ascending
-    `exponents`.  Returns the perfect candidates by value and the
-    factorization of each candidate, one entry per candidate.  The forms
-    are conjunctions of root, per-prime (q prime and no root prime, an
-    allowed exponent) and pairwise conditions (distinct primes; the
-    squarefree form's common exponent), so `matches` runs only on each
-    pool prime with the first root and on each root with each ordered
-    pair of its exponents on the two smallest pool primes.  A strictly
-    ascending pool and one set of root primes keep every candidate in
-    the form: each is only asserted to add a larger prime with an
-    allowed exponent, and a perfect one is checked by `matches`.
+    Each root is (factors, exponents): a prime q of the ascending pool
+    enters with one of its `exponents`.  Returns the sorted perfect values
+    and every candidate's factorization.  The callers build the pool and
+    roots inside the form; the tests hold every candidate to `matches_*_form`.
     """
-    if any(p >= q for p, q in zip(pool, pool[1:])) or len({tuple(p for p, _ in r[2]) for r in roots}) > 1:
-        raise AssertionError("the form pool must ascend strictly and the roots share their primes")
-    prime_checks = (r[2] + ((q, r[3][0]),) for r in roots[:1] for q in pool)
-    root_checks = (r[2] + tuple(zip(pool, (e, f))) for r in roots if pool for e in r[3] for f in r[3])
-    for factors in itertools.chain(prime_checks, root_checks):
-        if not matches(factors):
-            raise AssertionError(f"enumerator left the form at {math.prod(p**e for p, e in factors)}")
-
-    perfect: list[CandidateRecord] = []
+    perfect: list[int] = []
     candidates: list[tuple[tuple[int, int], ...]] = []
-    for root_value, root_sigma, root_factors, exponents in roots:
-        stack = [(0, root_value, root_sigma, root_factors, 0)]
+    for root_factors, exponents in roots:
+        root_value = math.prod(p**e for p, e in root_factors)
+        root_sigma = math.prod(arith.sigma_prime_power(p, e) for p, e in root_factors)
+        stack = [(0, root_value, root_sigma, root_factors)]
         while stack:
-            start_index, value, sigma_acc, factors, last = stack.pop()
+            start_index, value, sigma_acc, factors = stack.pop()
             for j in range(start_index, len(pool)):
                 q = pool[j]
                 if value * q ** exponents[0] > bound:
@@ -294,14 +281,12 @@ def _enumerate_form(bound: int, pool: list[int], matches, roots):
                         break
                     cand_sigma = sigma_acc * ((power * q - 1) // (q - 1))
                     cand_factors = factors + ((q, e),)
-                    if q <= last or e not in exponents or cand_sigma == 2 * candidate and not matches(cand_factors):
-                        raise AssertionError(f"enumerator left the form at {candidate}")
                     if cand_sigma == 2 * candidate:
-                        perfect.append(CandidateRecord(candidate, cand_factors, cand_sigma))
+                        perfect.append(candidate)
                     candidates.append(cand_factors)
                     if j + 1 < len(pool) and candidate * pool[j + 1] ** exponents[0] <= bound:
-                        stack.append((j + 1, candidate, cand_sigma, cand_factors, q))
-    return sorted(perfect, key=lambda rec: rec.value), candidates
+                        stack.append((j + 1, candidate, cand_sigma, cand_factors))
+    return sorted(perfect), candidates
 
 
 def scan_squarefree_form(bound: int) -> ScanReport:
@@ -317,17 +302,17 @@ def scan_squarefree_form(bound: int) -> ScanReport:
     pool = [p for p in arith.primes_up_to(math.isqrt(bound // 5)) if p not in (2, 5)]
     top = bound.bit_length()  # 5^alpha <= bound needs alpha < top, likewise 9^beta
     roots = [
-        (5**alpha, arith.sigma_prime_power(5, alpha), ((5, alpha),), (2 * beta,))
+        (((5, alpha),), (2 * beta,))
         for alpha in range(1, top, 4)
         for beta in range(1, top)
         if 5**alpha * 9**beta <= bound
     ]
-    perfect, candidates = _enumerate_form(bound, pool, matches_squarefree_form, roots)
+    perfect, candidates = _enumerate_form(bound, pool, roots)
     return ScanReport(
         form=FORM_SQUAREFREE,
         bound=bound,
         candidates_checked=len(candidates),
-        counterexamples=tuple(perfect),
+        counterexamples=tuple(_audit_record(v) for v in perfect),
         perfect_found=(),
     )
 
@@ -354,13 +339,12 @@ def scan_cyclotomic_form(
     top = bound.bit_length()  # x^e <= bound needs e < top for every x >= 2
     exponents = range(2, top, 6)
     roots = [
-        (5**a * 9**b, arith.sigma_prime_power(5, a) * arith.sigma_prime_power(3, 2 * b),
-         ((3, 2 * b), (5, a)), exponents)
+        (((3, 2 * b), (5, a)), exponents)
         for a in range(1, top)
         for b in range(1, top)
         if 5**a * 9**b * 49 <= bound
     ]
-    perfect, candidates = _enumerate_form(bound, pool, matches_cyclotomic_form, roots)
+    perfect, candidates = _enumerate_form(bound, pool, roots)
 
     notes: list[tuple[str, str]] = []
     if annotate_goodness:
@@ -379,7 +363,7 @@ def scan_cyclotomic_form(
         form=FORM_CYCLOTOMIC,
         bound=bound,
         candidates_checked=len(candidates),
-        counterexamples=tuple(perfect),
+        counterexamples=tuple(_audit_record(v) for v in perfect),
         perfect_found=(),
         notes=tuple(notes),
     )

@@ -213,11 +213,14 @@ def test_scan_resource_exit(capsys):
         ("sweep", "100000000000"),
         ("scan", "105", "100000001"),
         ("scan", "odd", "100000001"),
+        ("scan", "squarefree", "1000000000001"),
+        ("scan", "cyclotomic", "1000000000001"),
     ],
 )
 def test_sieve_resource_exit_for_every_command(capsys, argv):
     # the sieve behind trial division or a sweep is refused before numpy
-    # allocates it, with one line and no traceback
+    # allocates it, and a form scan past FORM_BOUND_LIMIT before its pool
+    # is sieved, with one line and no traceback
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_BUDGET
     assert out == ""

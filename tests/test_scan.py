@@ -11,6 +11,7 @@ from goodprimes.enclosure import log_enclosure
 from goodprimes.factor import SearchBudget, factorize
 from goodprimes.goodness import GOOD, INCONCLUSIVE, is_good
 from goodprimes.scan import (
+    FORM_BOUND_LIMIT,
     SIEVE_BOUND_LIMIT,
     CandidateRecord,
     ResourceLimitError,
@@ -321,44 +322,53 @@ def test_cyclotomic_scan_enumerates_faithfully(monkeypatch):
     assert set(values) == expected
 
 
-SQUAREFREE_ROOT = (5, 6, ((5, 1),), (2,))
-CYCLOTOMIC_ROOT = (45, 78, ((3, 2), (5, 1)), range(2, 40, 6))
+def test_form_scans_build_their_inputs_inside_the_form(monkeypatch):
+    # the forms are conjunctions of root, per-prime and pairwise conditions,
+    # so a strictly ascending pool whose every prime passes with one root, and
+    # roots whose every exponent pair passes on two primes, keep each candidate
+    # in the form; a smaller bound's pool is a prefix of this pool and its roots
+    # a subset of these, so the limit covers every bound
+    seen = []
+    monkeypatch.setattr(scan, "_enumerate_form", lambda bound, pool, roots: seen.append((pool, roots)) or ([], []))
+    scan_squarefree_form(FORM_BOUND_LIMIT)
+    scan_cyclotomic_form(FORM_BOUND_LIMIT, annotate_goodness=False)
+    for (pool, roots), matches in zip(seen, (matches_squarefree_form, matches_cyclotomic_form), strict=True):
+        assert all(p < q for p, q in zip(pool, pool[1:]))
+        factors, exponents = roots[0]
+        assert all(matches(factors + ((q, exponents[0]),)) for q in pool)
+        assert all(matches(f + ((pool[0], e), (pool[1], g))) for f, es in roots for e in es for g in es)
+
+
+def test_form_scans_never_call_the_form_predicates(monkeypatch):
+    def refuse(pairs):
+        raise AssertionError(f"a form scan called a form predicate on {pairs}")
+
+    monkeypatch.setattr(scan, "matches_squarefree_form", refuse)
+    monkeypatch.setattr(scan, "matches_cyclotomic_form", refuse)
+    assert scan_squarefree_form(10**8).clean
+    assert scan_cyclotomic_form(10**8).clean
 
 
 @pytest.mark.parametrize(
-    "pool, matches, roots",
+    "bound, pool, roots, perfect",
     [
-        ([3, 7, 9, 11], matches_squarefree_form, [SQUAREFREE_ROOT]),  # composite 9
-        ([3, 7, 7, 11], matches_squarefree_form, [SQUAREFREE_ROOT]),  # repeated prime
-        ([3, 5, 7, 11], matches_squarefree_form, [SQUAREFREE_ROOT]),  # 5 is the root's prime
-        ([7, 11, 13], matches_cyclotomic_form, [CYCLOTOMIC_ROOT, (45, 78, ((3, 2), (5, 1)), (2, 4))]),  # 4 != 2 mod 6
-        ([3, 7, 11], matches_squarefree_form, [SQUAREFREE_ROOT, (5, 6, ((5, 1),), (2, 4))]),  # mixed exponents
-        ([3, 7, 11], matches_squarefree_form, [SQUAREFREE_ROOT, (25, 31, ((5, 2),), (2,))]),  # alpha = 2
-        ([7, 11, 13], matches_cyclotomic_form, [(45, 78, ((3, 2), (5, 1)), (2,)), (5, 6, ((5, 1),), (2,))]),  # no 3 part
+        (10, [3], [(((2, 1),), (1,))], [6]),  # 2 * 3
+        (30, [2], [(((7, 1),), (2,))], [28]),  # 7 * 2^2
+        (500, [31], [(((2, 4),), (1,))], [496]),  # 2^4 * 31
     ],
 )
-def test_enumerator_refuses_inputs_outside_the_form(pool, matches, roots):
-    with pytest.raises(AssertionError, match="form"):
-        scan._enumerate_form(10**9, pool, matches, roots)
+def test_enumerator_returns_the_perfect_members_of_toy_forms(bound, pool, roots, perfect):
+    assert scan._enumerate_form(bound, pool, roots)[0] == perfect
 
 
-def test_enumerator_checks_its_inputs_not_each_candidate(monkeypatch):
-    calls, seen = [], {}
-    predicate, enumerate_form = scan.matches_squarefree_form, scan._enumerate_form
-
-    def counting(pairs):
-        calls.append(pairs)
-        return predicate(pairs)
-
-    def recording(bound, pool, matches, roots):
-        seen.update(pool=pool, roots=roots)
-        return enumerate_form(bound, pool, matches, roots)
-
-    monkeypatch.setattr(scan, "matches_squarefree_form", counting)
-    monkeypatch.setattr(scan, "_enumerate_form", recording)
-    report = scan_squarefree_form(10**8)
-    limit = len(seen["pool"]) + sum(len(exponents) ** 2 for *_, exponents in seen["roots"])
-    assert len(calls) <= limit < report.candidates_checked // 2  # 617 calls, 1608 candidates
+def test_form_scans_audit_a_perfect_hit(monkeypatch):
+    # no real form has a perfect member, so report 2205 = 5 * 3^2 * 7^2 as one:
+    # its record is re-factored in ascending prime order, sigma from arith.sigma
+    enumerate_form = scan._enumerate_form
+    monkeypatch.setattr(scan, "_enumerate_form", lambda *args: ([2205], enumerate_form(*args)[1]))
+    for report in (scan_squarefree_form(10**4), scan_cyclotomic_form(10**4, annotate_goodness=False)):
+        assert not report.clean
+        assert report.counterexamples == (CandidateRecord(2205, ((3, 2), (5, 1), (7, 2)), 6 * 13 * 57),)
 
 
 @pytest.mark.parametrize("bound", [44, 45, 2204, 2205])
@@ -420,6 +430,12 @@ def test_form_scan_resource_guard():
         scan_squarefree_form(10**12 + 1)
     with pytest.raises(ResourceLimitError):
         scan_cyclotomic_form(10**12 + 1)
+
+
+@pytest.mark.parametrize("run", [sieve_sigma, scan_odd_perfect, scan_105, scan_squarefree_form, scan_cyclotomic_form])
+def test_scans_refuse_non_integer_bounds(run):
+    with pytest.raises(TypeError):
+        run(1000.0)
 
 
 def test_report_roundtrip():
