@@ -53,7 +53,6 @@ from .scan import (
     scan_cyclotomic_form,
     scan_odd_perfect,
     scan_squarefree_form,
-    sieve_sigma,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +87,6 @@ __all__ = [
     "scan_cyclotomic_form",
     "scan_odd_perfect",
     "scan_squarefree_form",
-    "sieve_sigma",
     "sigma",
     "sigma_coprime_to_five",
     "sigma_exact_power",

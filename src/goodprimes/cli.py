@@ -20,7 +20,7 @@ long scans stream and identical inputs produce byte-identical output.
 import argparse
 import sys
 
-from . import arith
+from . import arith, scan
 from .arith import ResourceLimitError
 from .factor import DEFAULT_BUDGET, SearchBudget, factorize
 from .goodness import (
@@ -34,21 +34,19 @@ from .goodness import (
 )
 from .jsonio import canonical_dumps, dec
 from .oracles import sigma_exact_power
-from .scan import (
-    FORM_105,
-    FORM_CYCLOTOMIC,
-    FORM_ODD,
-    FORM_SQUAREFREE,
-    scan_105,
-    scan_cyclotomic_form,
-    scan_odd_perfect,
-    scan_squarefree_form,
-)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# the `scan` forms; only the cyclotomic scan searches, so only it takes the budget
+_SCANS = {
+    scan.FORM_ODD: lambda bound, budget: scan.scan_odd_perfect(bound),
+    scan.FORM_SQUAREFREE: lambda bound, budget: scan.scan_squarefree_form(bound),
+    scan.FORM_CYCLOTOMIC: scan.scan_cyclotomic_form,
+    scan.FORM_105: lambda bound, budget: scan.scan_105(bound),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("limit", type=int, nargs="?", default=160)
 
     cmd = sub.add_parser("scan", help="bounded perfect-number scan")
-    cmd.add_argument("form", choices=(FORM_ODD, FORM_SQUAREFREE, FORM_CYCLOTOMIC, FORM_105))
+    cmd.add_argument("form", choices=_SCANS)
     cmd.add_argument("bound", type=int)
 
     cmd = sub.add_parser("oracle", help="exact-divisibility witness for q^b || sigma(p^c)")
@@ -104,6 +102,13 @@ def _confidence(primes) -> str:
     return "probable" if any(arith.primality(p) == arith.PROBABLE_PRIME for p in primes) else "proven"
 
 
+def _label(primes, cert=None) -> str:
+    """The text-line suffix for a result that rests on a probable prime:
+    one of `primes` or one of the certificate's edge primes."""
+    edges = (b for *_, b in cert.path) if cert else ()
+    return "  [primality: probable]" if _confidence([*primes, *edges]) == "probable" else ""
+
+
 _VERDICT_EXIT = {GOOD: EXIT_OK, NOT_GOOD: EXIT_FAIL, INCONCLUSIVE: EXIT_BUDGET}
 
 
@@ -118,7 +123,7 @@ def _cmd_good(args, budget) -> int:
         print(canonical_dumps(record))
     else:
         extra = f" depth={result.depth}" if result.depth is not None else ""
-        print(f"{result.verdict}{extra}")
+        print(f"{result.verdict}{extra}{_label([args.prime], result.certificate)}")
     return _VERDICT_EXIT[result.verdict]
 
 
@@ -148,9 +153,7 @@ def _cmd_verify(args, budget) -> int:
         return _usage_error(f"cannot read certificate: {exc}")
     check = verify_certificate(cert)
     if check.ok:
-        confidence = _confidence([cert.root, *(b for *_, b in cert.path)])
-        suffix = "" if confidence == "proven" else "  [primality: probable]"
-        print(f"valid: {cert.root} -> {cert.terminal} (depth {cert.depth}){suffix}")
+        print(f"valid: {cert.root} -> {cert.terminal} (depth {cert.depth}){_label([cert.root], cert)}")
         return EXIT_OK
     print(f"INVALID: {check.failure}")
     return EXIT_FAIL
@@ -164,7 +167,7 @@ def _cmd_sweep(args, budget) -> int:
     else:
         for entry in report.entries:
             extra = f" depth={entry.depth}" if entry.depth is not None else ""
-            print(f"{entry.prime}: {entry.verdict}{extra}")
+            print(f"{entry.prime}: {entry.verdict}{extra}{_label([entry.prime], entry.certificate)}")
         print(
             f"{len(report.entries)} primes below {args.limit}: "
             f"{counts[GOOD]} good, {counts[NOT_GOOD]} not_good, "
@@ -178,14 +181,7 @@ def _cmd_sweep(args, budget) -> int:
 
 
 def _cmd_scan(args, budget) -> int:
-    if args.form == FORM_ODD:
-        report = scan_odd_perfect(args.bound)
-    elif args.form == FORM_105:
-        report = scan_105(args.bound)
-    elif args.form == FORM_SQUAREFREE:
-        report = scan_squarefree_form(args.bound)
-    else:
-        report = scan_cyclotomic_form(args.bound, budget)
+    report = _SCANS[args.form](args.bound, budget)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -194,10 +190,9 @@ def _cmd_scan(args, budget) -> int:
             print("even perfect:", " ".join(str(v) for v in report.perfect_found))
         for key, value in report.notes:
             print(f"{key}={value}")
-        if report.counterexamples:
-            for rec in report.counterexamples:
-                print(f"COUNTEREXAMPLE n={rec.value} sigma={rec.sigma_value}")
-        else:
+        for rec in report.counterexamples:
+            print(f"COUNTEREXAMPLE n={rec.value} sigma={rec.sigma_value}")
+        if report.clean:
             print("counterexamples: none")
     return EXIT_OK if report.clean else EXIT_FAIL
 
@@ -227,19 +222,18 @@ def _cmd_oracle(args, budget) -> int:
 
 def _cmd_factor(args, budget) -> int:
     result = factorize(args.n, budget)
-    confidence = _confidence(p for p, _ in result.factors)
+    primes = [p for p, _ in result.factors]
     if args.format == "json":
         record = {
             "target": dec(result.target),
             "status": result.status,
             "factors": [[dec(p), dec(e)] for p, e in result.factors],
             "cofactor": dec(result.cofactor),
-            "primality": confidence,
+            "primality": _confidence(primes),
         }
         print(canonical_dumps(record))
     else:
-        suffix = "" if confidence == "proven" else "  [primality: probable]"
-        print(result.to_line() + suffix)
+        print(result.to_line() + _label(primes))
     return EXIT_OK if result.complete else EXIT_BUDGET
 
 

@@ -19,6 +19,9 @@ sieve, candidates may exceed sieve memory).
 The cyclotomic scan additionally annotates every candidate with whether
 one of its qi primes is good, and whether one is at most 157.
 
+All four scans report through `_report`, which factors every odd hit
+(sigma(n) == 2n) again and records it with its sigma as a counterexample.
+
 Reports serialize to canonical JSON with all integers as decimal
 strings and no timings, so identical scans produce byte-identical output.
 """
@@ -27,7 +30,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +80,7 @@ class ScanReport:
     candidates_checked: int
     counterexamples: tuple[CandidateRecord, ...]
     perfect_found: tuple[int, ...]
-    notes: tuple[tuple[str, str], ...] = field(default=())
+    notes: tuple[tuple[str, str], ...] = ()
 
     @property
     def clean(self) -> bool:
@@ -169,17 +172,14 @@ def _stride_hits(sigmas: np.ndarray, bound: int, start: int, step: int) -> list[
     return [start + step * (i + int(j)) for i, block, ramp in _blocks(sigmas, twice) for j in np.flatnonzero(block == ramp)]
 
 
-def _scan_stride(form: str, bound: int, start: int, step: int, sigmas: np.ndarray, checked: int) -> ScanReport:
-    """Test sigma(n) == 2n for n = start + i*step <= bound, sigmas[i] = sigma(n);
-    odd hits are audited counterexamples, even ones perfect numbers found."""
-    found = _stride_hits(sigmas, bound, start, step)
-    return ScanReport(
-        form=form,
-        bound=bound,
-        candidates_checked=checked,
-        counterexamples=tuple(_audit_record(v) for v in found if v % 2),
-        perfect_found=tuple(v for v in found if v % 2 == 0),
-    )
+def _report(form: str, bound: int, checked: int, hits, perfect_found=(), notes=()) -> ScanReport:
+    """The one report of every scan: each odd hit (sigma(n) == 2n) is factored
+    again and kept as an audited counterexample with its multiplicative sigma."""
+    records = []
+    for n in hits:
+        factors = factorize(n).factors
+        records.append(CandidateRecord(n, factors, arith.sigma(n, factors)))
+    return ScanReport(form, bound, checked, tuple(records), tuple(perfect_found), tuple(notes))
 
 
 def scan_odd_perfect(bound: int) -> ScanReport:
@@ -195,7 +195,7 @@ def scan_odd_perfect(bound: int) -> ScanReport:
     _check_sample(lambda n: (2 * (n & -n) - 1) * int(odd[n // (n & -n) // 2]), bound, range(1, bound + 1))
     powers = [(1 << a, (2 << a) - 1) for a in range(1, bound.bit_length())]  # q, p; odd[q - 1 :: p] = sigma(p*k), k odd
     even = [p * v for q, p in powers for v in _stride_hits(odd[q - 1 :: p], bound // (q * p) * q, q, 2 * q)]
-    return replace(_scan_stride(FORM_ODD, bound, 1, 2, odd, len(odd)), perfect_found=tuple(sorted(even)))
+    return _report(FORM_ODD, bound, len(odd), _stride_hits(odd, bound, 1, 2), sorted(even))
 
 
 def scan_105(bound: int) -> ScanReport:
@@ -204,12 +204,7 @@ def scan_105(bound: int) -> ScanReport:
     sigmas = np.zeros(len(range(105, bound + 1, 210)), dtype=np.int32)
     _sigma_progression(sigmas, bound, 105, 210)
     _check_sample(lambda n: int(sigmas[n // 210]), bound, range(105, bound + 1, 210))
-    return _scan_stride(FORM_105, bound, 105, 210, sigmas, len(sigmas))
-
-
-def _audit_record(n: int) -> CandidateRecord:
-    factors = factorize(n).factors
-    return CandidateRecord(n, factors, arith.sigma(n, factors))
+    return _report(FORM_105, bound, len(sigmas), _stride_hits(sigmas, bound, 105, 210))
 
 
 def _exponents(pairs) -> dict[int, int]:
@@ -308,13 +303,7 @@ def scan_squarefree_form(bound: int) -> ScanReport:
         if 5**alpha * 9**beta <= bound
     ]
     perfect, candidates = _enumerate_form(bound, pool, roots)
-    return ScanReport(
-        form=FORM_SQUAREFREE,
-        bound=bound,
-        candidates_checked=len(candidates),
-        counterexamples=tuple(_audit_record(v) for v in perfect),
-        perfect_found=(),
-    )
+    return _report(FORM_SQUAREFREE, bound, len(candidates), perfect)
 
 
 def scan_cyclotomic_form(
@@ -346,24 +335,16 @@ def scan_cyclotomic_form(
     ]
     perfect, candidates = _enumerate_form(bound, pool, roots)
 
-    notes: list[tuple[str, str]] = []
+    notes = ()
     if annotate_goodness:
         verdicts = goodness_verdicts([q for q in pool if q > 7], budget)
         with_good = sum(any(verdicts.get(p) == GOOD for p, _ in factors) for factors in candidates)
         with_small = sum(any(5 < p <= 157 for p, _ in factors) for factors in candidates)
         inconclusive = list(verdicts.values()).count(INCONCLUSIVE)
-        notes = [
+        notes = (
             ("candidates_with_good_prime", dec(with_good)),
             ("candidates_with_prime_at_most_157", dec(with_small)),
             ("distinct_primes", dec(len(pool))),
             ("goodness_inconclusive_primes", dec(inconclusive)),
-        ]
-
-    return ScanReport(
-        form=FORM_CYCLOTOMIC,
-        bound=bound,
-        candidates_checked=len(candidates),
-        counterexamples=tuple(_audit_record(v) for v in perfect),
-        perfect_found=(),
-        notes=tuple(notes),
-    )
+        )
+    return _report(FORM_CYCLOTOMIC, bound, len(candidates), perfect, notes=notes)

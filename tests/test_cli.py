@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 import sympy
 
-from goodprimes import factor
+from goodprimes import cli, factor
 from goodprimes.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _build_parser, main
 from goodprimes.factor import SearchBudget
-from goodprimes.goodness import goodness_sweep
+from goodprimes.goodness import SweepEntry, SweepReport, goodness_sweep, is_good
 from goodprimes.scan import scan_cyclotomic_form
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -391,3 +391,19 @@ def test_factor_primality_confidence_flag(capsys):
     assert "[primality: probable]" in out
     code, out, _ = run_cli(capsys, "--format", "json", "factor", "3783")
     assert json.loads(out)["primality"] == "proven"
+
+
+def test_good_and_sweep_label_a_probable_edge_prime(capsys, monkeypatch):
+    # the depth-3 certificate of this root rests on the 148-bit edge prime
+    # 238495876985052417264080885682324718735289869, BPSW-probable only
+    root = 1328304987677
+    assert run_cli(capsys, "good", str(root)) == (EXIT_OK, "good depth=3  [primality: probable]\n", "")
+    assert run_cli(capsys, "good", "31") == (EXIT_OK, "good depth=1\n", "")
+    result = is_good(root)
+    entry = SweepEntry(root, result.verdict, result.depth, result.certificate)
+    monkeypatch.setattr(cli, "goodness_sweep", lambda limit, budget: SweepReport(limit, (entry,)))
+    code, out, _ = run_cli(capsys, "sweep", str(root + 1))
+    assert out.splitlines()[0] == f"{root}: good depth=3  [primality: probable]"
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "sweep", "40")
+    assert code == EXIT_OK and "probable" not in out

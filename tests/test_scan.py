@@ -124,7 +124,9 @@ def test_odd_scan_matches_the_full_sieve_report():
     # and at k = 3 the compare for a = 1 (over m = 3j, bound // 6 entries) too
     edges = [2 * scan._BLOCK * k + d for k in (1, 2, 3) for d in range(-3, 4)]
     for bound in [*range(1, 301), 8127, 8128, 8129, *edges]:
-        full = scan._scan_stride(scan.FORM_ODD, bound, 1, 1, sieve_sigma(bound)[1:], (bound + 1) // 2)
+        found = scan._stride_hits(sieve_sigma(bound)[1:], bound, 1, 1)
+        odd, even = [v for v in found if v % 2], [v for v in found if v % 2 == 0]
+        full = scan._report(scan.FORM_ODD, bound, (bound + 1) // 2, odd, even)
         assert scan_odd_perfect(bound).to_json() == full.to_json(), bound
 
 
@@ -185,16 +187,38 @@ def test_scan_stride_hits_at_block_edges():
     block = scan._BLOCK
     size = 2 * block + 5  # two whole blocks and a short tail
     planted = [0, block - 1, block, 2 * block - 1, 2 * block + 2, size - 1]
-    # perfect numbers found, counterexamples, and the odd scan's compare for
-    # n = 4 * 7k: sigma(7k) at every 7th odd entry against 8k = 2 * (4 + 8i)
+    # even hits, odd hits, and the odd scan's compare for n = 4 * 7k:
+    # sigma(7k) at every 7th odd entry against 8k = 2 * (4 + 8i)
     for start, step, stride in ((2, 2, 1), (105, 210, 1), (4, 8, 7)):
         sigmas = np.zeros(stride * size, dtype=np.int32)[stride // 2 :: stride]
         for i in planted:
             sigmas[i] = 2 * (start + step * i)
         sigmas[block + 1] = 2 * (start + step * (block + 1)) + 1  # a near miss
-        report = scan._scan_stride("test", start + step * (size - 1), start, step, sigmas, size)
-        found = sorted(report.perfect_found + tuple(rec.value for rec in report.counterexamples))
+        found = scan._stride_hits(sigmas, start + step * (size - 1), start, step)
         assert found == [start + step * i for i in planted], (start, step)
+
+
+def test_sieve_scans_audit_an_odd_hit(monkeypatch):
+    # plant two odd "perfect" n in the odd progressions (1 mod 2 and 105 mod
+    # 210) of both sieve scans; the even compares of the odd scan, which
+    # start at an even n, are left alone
+    planted = [945, 1155]
+    stride_hits = scan._stride_hits
+
+    def with_planted(sigmas, bound, start, step):
+        found = stride_hits(sigmas, bound, start, step)
+        return sorted(found + planted) if start % 2 else found
+
+    monkeypatch.setattr(scan, "_stride_hits", with_planted)
+    for run, perfect in ((scan_odd_perfect, (6, 28, 496, 8128)), (scan_105, ())):
+        report = run(10**4)
+        assert report.perfect_found == perfect, run.__name__
+        assert not report.clean
+        assert [rec.value for rec in report.counterexamples] == planted
+        assert report.counterexamples[0] == CandidateRecord(945, ((3, 3), (5, 1), (7, 1)), 1920)
+        for rec in report.counterexamples:
+            assert rec.factors == tuple(sorted(sympy.factorint(rec.value).items()))  # ascending
+            assert rec.sigma_value == arith.sigma(rec.value, rec.factors) == sigma_naive(rec.value)
 
 
 def test_sigma_fits_int32_up_to_the_sieve_limit():
